@@ -19,6 +19,9 @@
 //! * `relaxed-justify` — every `Ordering::Relaxed` must carry a
 //!   `// relaxed:` comment (same line or the line above) justifying
 //!   why no ordering is needed.
+//! * `task-hashmap` — per-task state in `crates/{core,rt,sim}/src` is
+//!   keyed through `sfs_core::taskmap::TaskMap`; `HashMap<TaskId, _>` /
+//!   `HashSet<TaskId>` put a SipHash on every scheduler event.
 //!
 //! The scanner strips strings and comments before matching, matches
 //! identifiers exactly (`OrderedMutex` does not trip the `Mutex`
@@ -55,6 +58,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "relaxed-justify",
         "every Ordering::Relaxed needs a // relaxed: justification comment",
+    ),
+    (
+        "task-hashmap",
+        "no HashMap<TaskId, _> / HashSet<TaskId> in core, rt or sim; use taskmap::TaskMap",
     ),
 ];
 
@@ -223,6 +230,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
     let is_sim = rel_path.contains("crates/sim/src");
     let is_rt = rel_path.contains("crates/rt/src");
+    let keys_tasks = is_sim || is_rt || rel_path.contains("crates/core/src");
     let is_hot = rel_path.ends_with("crates/rt/src/executor.rs")
         || rel_path.ends_with("crates/sim/src/engine.rs")
         || rel_path == "crates/rt/src/executor.rs"
@@ -295,6 +303,17 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
                     "rt-raw-mutex",
                     "raw Mutex in crates/rt — use lockorder::OrderedMutex".to_string(),
                 );
+            }
+            if keys_tasks {
+                let dense: String = code.split_whitespace().collect();
+                for ty in ["HashMap<TaskId", "HashSet<TaskId"] {
+                    if dense.contains(ty) {
+                        push(
+                            "task-hashmap",
+                            format!("`{ty}` hashes on every lookup — use taskmap::TaskMap"),
+                        );
+                    }
+                }
             }
             if code.contains("::Relaxed")
                 && !raw.contains("// relaxed:")
@@ -498,6 +517,26 @@ mod tests {
     }
 
     #[test]
+    fn task_hashmap_fires_in_scheduler_crates_only() {
+        let src = "struct S { tasks: HashMap< TaskId, Entry>, blocked: HashSet<TaskId> }\n";
+        for path in [
+            "crates/core/src/sfs.rs",
+            "crates/rt/src/executor.rs",
+            "crates/sim/src/engine.rs",
+        ] {
+            let f = scan_source(path, src);
+            assert_eq!(rules_fired(&f), ["task-hashmap", "task-hashmap"], "{f:?}");
+        }
+        // Other crates may hash task ids (reports, fairness tables).
+        let f = scan_source("crates/metrics/src/fairness.rs", src);
+        assert!(f.is_empty(), "{f:?}");
+        // Other keys, and test code, are not the rule's business.
+        let other = "struct S { homes: HashMap<TenantId, usize> }\n#[cfg(test)]\nmod tests {\n    fn t() { let m: HashMap<TaskId, u64> = HashMap::new(); }\n}\n";
+        let f = scan_source("crates/core/src/shard.rs", other);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
     fn multi_line_justification_comments_are_honoured() {
         // The marker line may sit several comment lines above the
         // site when the justification wraps.
@@ -593,6 +632,11 @@ mod tests {
                 "relaxed-justify",
                 "crates/rt/src/executor.rs",
                 "self.epoch.store(e, Ordering::Relaxed);\n",
+            ),
+            (
+                "task-hashmap",
+                "crates/core/src/sfs.rs",
+                "tasks: HashMap<TaskId, Entry>,\n",
             ),
         ];
         for (rule, path, src) in mutations {

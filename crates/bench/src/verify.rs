@@ -69,6 +69,11 @@ pub fn run_lint(_effort: Effort) -> ExpResult {
             "crates/rt/src/executor.rs",
             "self.epoch.store(e, Ordering::Relaxed);\n",
         ),
+        (
+            "task-hashmap",
+            "crates/core/src/sfs.rs",
+            "tasks: HashMap<TaskId, Entry>,\n",
+        ),
     ];
     let mut caught = 0usize;
     let mut mut_text = String::from("seeded mutations (each rule must fire on its own):\n");

@@ -42,20 +42,29 @@
 //! Cost model (p processors, n runnable threads, w distinct weights):
 //!
 //! * pick: O(w·log n + p) — each bucket contributes its head (skipping
-//!   the ≤ p currently-running entries),
-//! * requeue after a quantum: O(log n) in one bucket,
+//!   the ≤ p currently-running entries); the location index is not
+//!   consulted,
+//! * requeue after a quantum: O(log n) in one bucket, plus one index
+//!   lookup,
+//! * insert / remove: O(log n) in one bucket, plus one index write,
 //! * weight readjustment: migrates only the at-most-`p − 1` clamped (or
-//!   unclamped) threads between buckets,
+//!   unclamped) threads between buckets — a lookup, a remove and an
+//!   insert each,
 //! * virtual-time advance: free.
 //!
 //! The old path was O(n) per pick in `resort_with` alone.
+//!
+//! The location index (task → its `φ` bucket and start-tag key) is a
+//! [`TaskMap`]: an index lookup is two indexed loads, with no hashing,
+//! so the ordered-set work above is what an operation costs.
 
 use std::collections::btree_set;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::fixed::Fixed;
 use crate::queues::tree_steps;
 use crate::task::TaskId;
+use crate::taskmap::TaskMap;
 
 /// One weight class: runnable threads ordered by `(start tag, id)`.
 type Bucket = BTreeSet<(Fixed, TaskId)>;
@@ -72,7 +81,7 @@ pub struct BucketQueue {
     /// weight classes actually present.
     buckets: BTreeMap<Fixed, Bucket>,
     /// Per-task location: the bucket key `φ` and the start-tag key.
-    index: HashMap<TaskId, (Fixed, Fixed)>,
+    index: TaskMap<(Fixed, Fixed)>,
     /// Cumulative event-path steps; see [`BucketQueue::steps`].
     steps: u64,
 }
@@ -132,9 +141,9 @@ impl BucketQueue {
             .min()
     }
 
-    /// Iterates all queued task ids in unspecified order, O(1) each.
+    /// Iterates all queued task ids in ascending id order.
     pub fn ids(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.index.keys().copied()
+        self.index.keys()
     }
 
     /// Iterates all queued tasks in ascending `(S, id)` order (a lazy

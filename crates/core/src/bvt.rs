@@ -12,13 +12,12 @@
 //! pathology on SMPs; the optional readjustment wrapper (§2.1) repairs
 //! it.
 
-use std::collections::HashMap;
-
 use crate::feasible::FeasibleWeights;
 use crate::fixed::Fixed;
 use crate::queues::{IndexedList, KeyCounter, NodeRef, Order};
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
 use crate::task::{CpuId, TaskId, TaskState, Weight};
+use crate::taskmap::TaskMap;
 use crate::time::{Duration, Time};
 
 /// Tuning knobs for [`Bvt`].
@@ -66,7 +65,7 @@ impl BvtTask {
 pub struct Bvt {
     cfg: BvtConfig,
     cpus: u32,
-    tasks: HashMap<TaskId, BvtTask>,
+    tasks: TaskMap<BvtTask>,
     feas: FeasibleWeights,
     /// Ready+running tasks ordered by effective virtual time.
     evt_q: IndexedList,
@@ -97,7 +96,7 @@ impl Bvt {
         Bvt {
             cfg,
             cpus,
-            tasks: HashMap::new(),
+            tasks: TaskMap::new(),
             feas: FeasibleWeights::new(cpus, readjust),
             evt_q: IndexedList::new(Order::Ascending),
             avts: KeyCounter::new(),

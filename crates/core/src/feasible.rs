@@ -65,6 +65,10 @@ pub struct FeasibleWeights {
     /// walk; readjustment can clamp at most `p − 1` threads, so this
     /// never exceeds `cpus − 1`.
     last_prefix_len: usize,
+    /// Scratch for the §2.1 prefix walk and for the next clamp set, kept
+    /// across passes so a readjustment allocates nothing.
+    prefix: Vec<u64>,
+    next_clamped: Vec<TaskId>,
     /// Clamp-set membership probes served (`phi` / `is_clamped`).
     lookups: Cell<u64>,
     /// Entries examined across all membership probes.
@@ -89,6 +93,8 @@ impl FeasibleWeights {
             clamps: 0,
             walk_steps: 0,
             last_prefix_len: 0,
+            prefix: Vec::new(),
+            next_clamped: Vec::new(),
             lookups: Cell::new(0),
             lookup_steps: Cell::new(0),
         }
@@ -274,6 +280,13 @@ impl FeasibleWeights {
         std::mem::take(&mut self.changed)
     }
 
+    /// The set [`FeasibleWeights::take_changed`] would drain, borrowed:
+    /// valid until the next mutation, and leaves the buffer in place for
+    /// the next pass to reuse. What the schedulers call per event.
+    pub fn changed(&self) -> &[TaskId] {
+        &self.changed
+    }
+
     /// Re-runs readjustment over the current runnable set.
     /// Returns `true` if the clamp set or cap changed.
     fn run(&mut self) -> bool {
@@ -292,25 +305,32 @@ impl FeasibleWeights {
             Readjustment::UNCHANGED
         } else {
             let limit = (self.cpus - 1) as usize;
-            let mut prefix: Vec<u64> = Vec::with_capacity(limit);
+            self.prefix.clear();
             'outer: for (&w, ids) in self.classes.iter().rev() {
                 self.walk_steps += 1;
                 for _ in 0..ids.len() {
-                    if prefix.len() == limit {
+                    if self.prefix.len() == limit {
                         break 'outer;
                     }
-                    prefix.push(w);
+                    self.prefix.push(w);
                 }
             }
-            self.last_prefix_len = prefix.len();
-            self.walk_steps += prefix.len() as u64;
-            readjust_prefix(&prefix, self.total, self.cpus)
+            self.last_prefix_len = self.prefix.len();
+            self.walk_steps += self.prefix.len() as u64;
+            readjust_prefix(&self.prefix, self.total, self.cpus)
         };
+
+        if adj.clamped == 0 && self.clamped.is_empty() {
+            // Nothing was clamped and nothing is: there is no clamp set
+            // to build or diff. (A cap can still be on record when the
+            // only clamped task has just been removed.)
+            return self.cap.take().is_some();
+        }
 
         // The clamp set is the adj.clamped heaviest threads — always a
         // union of whole weight classes (see the module docs), so the
         // walk below never has to order threads within a class.
-        let mut new_clamped: Vec<TaskId> = Vec::with_capacity(adj.clamped);
+        self.next_clamped.clear();
         let mut need = adj.clamped;
         for (_, ids) in self.classes.iter().rev() {
             if need == 0 {
@@ -321,29 +341,27 @@ impl FeasibleWeights {
                 ids.len() <= need,
                 "readjustment split a weight class at the clamp boundary"
             );
-            for &id in ids.iter().take(need) {
-                new_clamped.push(id);
-            }
+            self.next_clamped.extend(ids.iter().take(need));
             need = need.saturating_sub(ids.len());
         }
-        new_clamped.sort_unstable();
+        self.next_clamped.sort_unstable();
 
-        let changed = new_clamped != self.clamped || adj.cap != self.cap;
+        let changed = self.next_clamped != self.clamped || adj.cap != self.cap;
         for &id in &self.clamped {
-            if new_clamped.binary_search(&id).is_err() {
+            if self.next_clamped.binary_search(&id).is_err() {
                 self.changed.push(id); // unclamped: φ back to raw weight
             }
         }
-        for &id in &new_clamped {
+        for &id in &self.next_clamped {
             if self.clamped.binary_search(&id).is_err() {
                 self.changed.push(id); // newly clamped to the cap
             } else if adj.cap != self.cap {
                 self.changed.push(id); // still clamped, but the cap moved
             }
         }
-        self.walk_steps += (self.clamped.len() + new_clamped.len()) as u64;
+        self.walk_steps += (self.clamped.len() + self.next_clamped.len()) as u64;
         self.clamps += adj.clamped as u64;
-        self.clamped = new_clamped;
+        std::mem::swap(&mut self.clamped, &mut self.next_clamped);
         self.cap = adj.cap;
         changed
     }

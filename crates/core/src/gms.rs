@@ -25,10 +25,9 @@
 //! reference, not kernel code, and the relative error over any experiment
 //! horizon is far below the fixed-point resolution used by the schedulers.
 
-use std::collections::HashMap;
-
 use crate::readjust::{apply, readjust};
 use crate::task::{TaskId, Weight};
+use crate::taskmap::TaskMap;
 use crate::time::Duration;
 
 #[derive(Debug, Clone)]
@@ -44,8 +43,11 @@ struct FluidTask {
 pub struct FluidGms {
     cpus: u32,
     capacity: f64,
-    tasks: HashMap<TaskId, FluidTask>,
+    tasks: TaskMap<FluidTask>,
     total_phi: f64,
+    /// Size of the runnable set, recounted with `total_phi` on every
+    /// change so that a rate query does not walk the table.
+    nr_runnable: usize,
 }
 
 impl FluidGms {
@@ -60,8 +62,9 @@ impl FluidGms {
         FluidGms {
             cpus,
             capacity: 1.0,
-            tasks: HashMap::new(),
+            tasks: TaskMap::new(),
             total_phi: 0.0,
+            nr_runnable: 0,
         }
     }
 
@@ -111,20 +114,27 @@ impl FluidGms {
 
     /// The task's current fluid service rate, in CPUs (0.0 ..= 1.0).
     pub fn rate(&self, id: TaskId) -> f64 {
-        let Some(t) = self.tasks.get(&id) else {
-            return 0.0;
-        };
-        if !t.runnable || self.total_phi == 0.0 {
-            return 0.0;
-        }
-        let runnable = self.tasks.values().filter(|t| t.runnable).count() as f64;
-        let share = self.cpus as f64 * t.phi / self.total_phi;
-        // With fewer runnable threads than processors every thread gets a
-        // full CPU; otherwise readjustment already capped shares at 1/p.
-        if runnable <= self.cpus as f64 {
-            self.capacity
-        } else {
-            share.min(1.0) * self.capacity
+        self.tasks.get(&id).map_or(0.0, self.rate_fn())
+    }
+
+    /// The rate of a task under the current runnable set, as a function
+    /// that borrows nothing from `self`: [`FluidGms::advance`] applies
+    /// it while walking the table mutably.
+    fn rate_fn(&self) -> impl Fn(&FluidTask) -> f64 {
+        let (cpus, capacity, total_phi) = (self.cpus as f64, self.capacity, self.total_phi);
+        let uncontended = self.nr_runnable <= self.cpus as usize;
+        move |t| {
+            if !t.runnable || total_phi == 0.0 {
+                return 0.0;
+            }
+            // With fewer runnable threads than processors every thread
+            // gets a full CPU; otherwise readjustment already capped
+            // shares at 1/p.
+            if uncontended {
+                capacity
+            } else {
+                (cpus * t.phi / total_phi).min(1.0) * capacity
+            }
         }
     }
 
@@ -133,11 +143,11 @@ impl FluidGms {
         if self.total_phi == 0.0 {
             return;
         }
-        let ids: Vec<TaskId> = self.tasks.keys().copied().collect();
-        for id in ids {
-            let r = self.rate(id);
+        let rate = self.rate_fn();
+        for t in self.tasks.values_mut() {
+            let r = rate(t);
             if r > 0.0 {
-                self.tasks.get_mut(&id).unwrap().service_ns += r * dt.as_nanos() as f64;
+                t.service_ns += r * dt.as_nanos() as f64;
             }
         }
     }
@@ -163,8 +173,9 @@ impl FluidGms {
             .tasks
             .iter()
             .filter(|(_, t)| t.runnable)
-            .map(|(&id, t)| (id, t.weight.get()))
+            .map(|(id, t)| (id, t.weight.get()))
             .collect();
+        self.nr_runnable = runnable.len();
         // Descending weight, deterministic tie-break by id.
         runnable.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let weights: Vec<u64> = runnable.iter().map(|&(_, w)| w).collect();

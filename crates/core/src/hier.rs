@@ -31,14 +31,13 @@
 //!
 //! [`PolicySpec`]: crate::policy::PolicySpec
 
-use std::collections::HashMap;
-
 use crate::buckets::BucketQueue;
 use crate::fixed::Fixed;
 use crate::policy::GroupSpec;
 use crate::readjust::readjust_capped;
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
 use crate::task::{CpuId, TaskId, TenantId, Weight};
+use crate::taskmap::TaskMap;
 use crate::time::{Duration, Time};
 
 /// One tenant group: its share, its child policy instance and its
@@ -80,7 +79,7 @@ pub struct HierSfs {
     cpus: u32,
     groups: Vec<Group>,
     /// Which group each attached task belongs to.
-    task_group: HashMap<TaskId, usize>,
+    task_group: TaskMap<usize>,
     /// Group-level run queue, keyed by group index as a `TaskId`.
     buckets: BucketQueue,
     /// Sum of the queued groups' raw shares (conservation invariant).
@@ -118,7 +117,7 @@ impl HierSfs {
         HierSfs {
             cpus,
             groups,
-            task_group: HashMap::new(),
+            task_group: TaskMap::new(),
             buckets: BucketQueue::new(),
             queued_share_total: 0,
             v: Fixed::ZERO,
@@ -550,6 +549,7 @@ mod tests {
     use super::*;
     use crate::policy::PolicySpec;
     use crate::task::weight;
+    use std::collections::HashMap;
 
     fn hier(cpus: u32, shares: &[(&str, u64)]) -> HierSfs {
         let spec = PolicySpec::sfs_over(

@@ -34,6 +34,9 @@
 //!   rate limits (`admit(max=...,rate=.../s)` on any spec), and
 //!   [`fault`] — deterministic fault-injection plans the substrates
 //!   replay bit-for-bit.
+//! * [`taskmap`] — the paged direct-index table every policy keeps its
+//!   per-task state in, so an event reaches a task's entry by indexing,
+//!   not hashing.
 //!
 //! Schedulers are pure run-queue policies behind the [`sched::Scheduler`]
 //! trait; the `sfs-sim` crate drives them in a discrete-event simulator
@@ -78,6 +81,7 @@ pub mod sfs;
 pub mod shard;
 pub mod stride;
 pub mod task;
+pub mod taskmap;
 #[doc(hidden)]
 pub mod testkit;
 pub mod time;

@@ -4,10 +4,11 @@
 //! at least match round-robin's work conservation) and by the overhead
 //! benchmarks as the lower bound on per-decision cost.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
 use crate::task::{CpuId, TaskId, TaskState, Weight};
+use crate::taskmap::TaskMap;
 use crate::time::{Duration, Time};
 
 #[derive(Debug, Clone)]
@@ -20,7 +21,7 @@ struct RrTask {
 pub struct RoundRobin {
     cpus: u32,
     quantum: Duration,
-    tasks: HashMap<TaskId, RrTask>,
+    tasks: TaskMap<RrTask>,
     ready: VecDeque<TaskId>,
     stats: SchedStats,
 }
@@ -36,7 +37,7 @@ impl RoundRobin {
         RoundRobin {
             cpus,
             quantum,
-            tasks: HashMap::new(),
+            tasks: TaskMap::new(),
             ready: VecDeque::new(),
             stats: SchedStats::default(),
         }

@@ -18,13 +18,12 @@
 //! repairs the infeasible-weights pathology (Fig. 4b) but not the
 //! short-jobs one (Fig. 5a).
 
-use std::collections::HashMap;
-
 use crate::feasible::FeasibleWeights;
 use crate::fixed::Fixed;
 use crate::queues::{IndexedList, NodeRef, Order};
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
 use crate::task::{CpuId, TagTask, TaskId, TaskState, Weight};
+use crate::taskmap::TaskMap;
 use crate::time::{Duration, Time};
 
 /// Tuning knobs for [`Sfq`].
@@ -62,11 +61,10 @@ struct Entry {
 pub struct Sfq {
     cfg: SfqConfig,
     cpus: u32,
-    tasks: HashMap<TaskId, Entry>,
+    tasks: TaskMap<Entry>,
     feas: FeasibleWeights,
     start_q: IndexedList,
     v: Fixed,
-    nr_running: usize,
     stats: SchedStats,
 }
 
@@ -98,11 +96,10 @@ impl Sfq {
         Sfq {
             cfg,
             cpus,
-            tasks: HashMap::new(),
+            tasks: TaskMap::new(),
             feas: FeasibleWeights::new(cpus, readjust),
             start_q: IndexedList::new(Order::Ascending),
             v: Fixed::ZERO,
-            nr_running: 0,
             stats: SchedStats::default(),
         }
     }
@@ -233,7 +230,6 @@ impl Scheduler for Sfq {
         let e = self.tasks.get_mut(&picked).unwrap();
         e.task.state = TaskState::Running(cpu);
         e.task.dispatched_at = now;
-        self.nr_running += 1;
         self.stats.picks += 1;
         Some(picked)
     }
@@ -245,7 +241,6 @@ impl Scheduler for Sfq {
             assert!(e.task.state.is_running(), "put_prev of non-running {id}");
             e.task.weight
         };
-        self.nr_running -= 1;
         let phi = self.phi(id, w);
         let finish_tag = {
             let e = self.tasks.get_mut(&id).unwrap();

@@ -53,8 +53,21 @@
 //! (O(#weight-classes·log n) instead of O(n)). The bounded-lookahead
 //! heuristic of §3.2 and the fixed-point tags with renormalisation are
 //! retained.
+//!
+//! # Per-task state
+//!
+//! The kernel reaches a thread's tags through its task struct; here an
+//! event names a [`TaskId`] and the scheduler resolves it in a
+//! [`TaskMap`] — two indexed loads, no hashing. Each event entry point
+//! resolves the id **once** and works through that one `&mut` entry:
+//! `wake` and a `put_prev` requeue touch the task table once and the
+//! bucket index once (the tag-ordered set costs its O(log n) on top);
+//! `attach` checks the slot and fills it; `detach`, and a `put_prev`
+//! that blocks or exits, add the removal. A readjustment that moves
+//! `φ` costs one more lookup per migrated task — at most `p − 1` of
+//! them. The pick's readiness test reads one entry per queue head
+//! examined.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::buckets::BucketQueue;
@@ -63,6 +76,7 @@ use crate::fixed::{Fixed, SCALE};
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
 use crate::shard::{PhiSnapshot, SnapshotCell};
 use crate::task::{CpuId, TagTask, TaskId, TaskState, TenantId, Weight};
+use crate::taskmap::TaskMap;
 use crate::time::{Duration, Time};
 
 /// A CPU-time duration on the fixed-point surplus scale.
@@ -127,6 +141,39 @@ impl Default for SfsConfig {
     }
 }
 
+/// The instantaneous weight used for tags and buckets: the local
+/// readjusted `φ`, further capped by the globally published feasible
+/// cap when the instance runs as one shard of a sharded scheduler (local
+/// and global caps are both upper bounds, so the minimum applies).
+///
+/// A function of the two fields it reads, not of `&Sfs`, so the event
+/// path can call it while holding its one `&mut` task entry.
+fn eff_phi(
+    feas: &FeasibleWeights,
+    gsnap: &Option<Arc<PhiSnapshot>>,
+    id: TaskId,
+    w: Weight,
+) -> Fixed {
+    let local = feas.phi(id, w);
+    match gsnap.as_ref().and_then(|s| s.cap_of(id)) {
+        Some(cap) => local.min(cap),
+        None => local,
+    }
+}
+
+/// Inserts a (now runnable) task into its weight-class bucket, recording
+/// its instantaneous weight. Takes the task and the fields it touches,
+/// not `&mut Sfs` and an id, for the same reason as [`eff_phi`].
+fn link_runnable(
+    feas: &FeasibleWeights,
+    gsnap: &Option<Arc<PhiSnapshot>>,
+    buckets: &mut BucketQueue,
+    task: &mut TagTask,
+) {
+    task.phi = eff_phi(feas, gsnap, task.id, task.weight);
+    buckets.insert(task.id, task.phi, task.start_tag);
+}
+
 #[derive(Debug)]
 struct Entry {
     task: TagTask,
@@ -138,7 +185,7 @@ struct Entry {
 pub struct Sfs {
     cfg: SfsConfig,
     cpus: u32,
-    tasks: HashMap<TaskId, Entry>,
+    tasks: TaskMap<Entry>,
     /// Per-weight-class count map + readjustment state (replacing the
     /// weight-descending queue #1 of §3.1).
     feas: FeasibleWeights,
@@ -161,7 +208,6 @@ pub struct Sfs {
     /// invariant checker read only this, so the queue state is always
     /// internally consistent even while a newer epoch is pending.
     gsnap: Option<Arc<PhiSnapshot>>,
-    nr_running: usize,
     stats: SchedStats,
 }
 
@@ -196,7 +242,7 @@ impl Sfs {
         Sfs {
             cfg,
             cpus,
-            tasks: HashMap::new(),
+            tasks: TaskMap::new(),
             feas: FeasibleWeights::new(cpus, true),
             buckets: BucketQueue::new(),
             v: Fixed::ZERO,
@@ -204,7 +250,6 @@ impl Sfs {
             preempt_margin_fx,
             gcell,
             gsnap,
-            nr_running: 0,
             stats: SchedStats::default(),
         }
     }
@@ -219,20 +264,9 @@ impl Sfs {
         phi.mul_fixed(start_tag - self.v)
     }
 
-    /// The instantaneous weight used for tags and buckets: the local
-    /// readjusted `φ`, further capped by the globally published
-    /// feasible cap when this instance runs as one shard of a sharded
-    /// scheduler (local and global caps are both upper bounds, so the
-    /// minimum applies).
+    /// [`eff_phi`] under this instance's readjustment and snapshot.
     fn eff_phi(&self, id: TaskId, w: Weight) -> Fixed {
-        let local = self.feas.phi(id, w);
-        match &self.gsnap {
-            Some(s) => match s.cap_of(id) {
-                Some(cap) => local.min(cap),
-                None => local,
-            },
-            None => local,
-        }
+        eff_phi(&self.feas, &self.gsnap, id, w)
     }
 
     /// Pulls a newer globally published feasibility snapshot, if one
@@ -265,18 +299,25 @@ impl Sfs {
         affected.sort_unstable();
         affected.dedup();
         for id in affected {
-            let Some(e) = self.tasks.get(&id) else {
-                continue;
-            };
-            if !e.task.state.is_runnable() {
-                continue;
-            }
-            let phi = self.eff_phi(id, e.task.weight);
-            if e.task.phi != phi {
-                self.tasks.get_mut(&id).unwrap().task.phi = phi;
-                if self.buckets.set_phi(id, phi) {
-                    self.stats.bucket_migrations += 1;
-                }
+            self.refresh_phi(id);
+        }
+    }
+
+    /// Re-derives one task's effective `φ` and, if it moved, records it
+    /// and migrates the task to its new weight-class bucket. Ids this
+    /// instance does not hold, and blocked tasks, are skipped.
+    fn refresh_phi(&mut self, id: TaskId) {
+        let Some(e) = self.tasks.get_mut(&id) else {
+            return;
+        };
+        if !e.task.state.is_runnable() {
+            return;
+        }
+        let phi = eff_phi(&self.feas, &self.gsnap, id, e.task.weight);
+        if e.task.phi != phi {
+            e.task.phi = phi;
+            if self.buckets.set_phi(id, phi) {
+                self.stats.bucket_migrations += 1;
             }
         }
     }
@@ -299,20 +340,10 @@ impl Sfs {
     /// `p − 1` threads, so this touches O(p) tasks — never the whole
     /// runnable set.
     fn apply_phi_changes(&mut self) {
-        for id in self.feas.take_changed() {
-            let Some(e) = self.tasks.get(&id) else {
-                continue;
-            };
-            if !e.task.state.is_runnable() {
-                continue;
-            }
-            let phi = self.eff_phi(id, e.task.weight);
-            if e.task.phi != phi {
-                self.tasks.get_mut(&id).unwrap().task.phi = phi;
-                if self.buckets.set_phi(id, phi) {
-                    self.stats.bucket_migrations += 1;
-                }
-            }
+        // By index: `refresh_phi` needs `&mut self`, and leaves the
+        // change set alone.
+        for i in 0..self.feas.changed().len() {
+            self.refresh_phi(self.feas.changed()[i]);
         }
     }
 
@@ -423,24 +454,6 @@ impl Sfs {
         picked
     }
 
-    fn unlink_runnable(&mut self, id: TaskId) {
-        assert!(self.tasks.contains_key(&id), "unlinking unknown task");
-        if self.buckets.contains(id) {
-            self.buckets.remove(id);
-        }
-    }
-
-    /// Inserts a (now runnable) task into its weight-class bucket,
-    /// recording its instantaneous weight.
-    fn link_runnable(&mut self, id: TaskId) {
-        let (phi, start_tag) = {
-            let e = &self.tasks[&id];
-            (self.eff_phi(id, e.task.weight), e.task.start_tag)
-        };
-        self.buckets.insert(id, phi, start_tag);
-        self.tasks.get_mut(&id).unwrap().task.phi = phi;
-    }
-
     /// §3.2 wrap-around handling: shift every tag down by the minimum
     /// start tag and reset the virtual time. The shift is uniform, so
     /// neither the start-tag queue nor any bucket reorders.
@@ -484,7 +497,7 @@ impl Sfs {
         // hence all fresh surpluses are non-negative (§2.3); and its
         // bucket and recorded φ always match the readjusted weight.
         let v = self.current_v();
-        for (id, e) in &self.tasks {
+        for (id, e) in self.tasks.iter() {
             if e.task.state.is_runnable() {
                 assert!(
                     e.task.start_tag >= v,
@@ -492,10 +505,10 @@ impl Sfs {
                     e.task.start_tag,
                     v
                 );
-                let phi = self.eff_phi(*id, e.task.weight);
+                let phi = self.eff_phi(id, e.task.weight);
                 assert_eq!(e.task.phi, phi, "stale φ recorded for {id}");
                 assert_eq!(
-                    self.buckets.phi_of(*id),
+                    self.buckets.phi_of(id),
                     Some(phi),
                     "task {id} in wrong weight-class bucket"
                 );
@@ -525,6 +538,8 @@ impl Scheduler for Sfs {
         // S_i = v" (§2.3).
         let mut task = TagTask::new(id, w, self.current_v());
         task.dispatched_at = now;
+        self.feas.insert(id, w);
+        link_runnable(&self.feas, &self.gsnap, &mut self.buckets, &mut task);
         self.tasks.insert(
             id,
             Entry {
@@ -532,8 +547,6 @@ impl Scheduler for Sfs {
                 last_cpu: None,
             },
         );
-        self.feas.insert(id, w);
-        self.link_runnable(id);
         self.apply_phi_changes();
     }
 
@@ -559,8 +572,16 @@ impl Scheduler for Sfs {
         let mut weights = Vec::with_capacity(batch.len());
         for &(id, w, _) in batch {
             assert!(!self.tasks.contains_key(&id), "task {id} attached twice");
+            weights.push((id, w));
+        }
+        self.feas.insert_many(&weights);
+        // Link after the readjustment so each new task's recorded φ is
+        // already final; `apply_phi_changes` then only migrates
+        // previously-runnable tasks whose clamp state moved.
+        for &(id, w) in &weights {
             let mut task = TagTask::new(id, w, v);
             task.dispatched_at = now;
+            link_runnable(&self.feas, &self.gsnap, &mut self.buckets, &mut task);
             self.tasks.insert(
                 id,
                 Entry {
@@ -568,14 +589,6 @@ impl Scheduler for Sfs {
                     last_cpu: None,
                 },
             );
-            weights.push((id, w));
-        }
-        self.feas.insert_many(&weights);
-        // Link after the readjustment so each new task's recorded φ is
-        // already final; `apply_phi_changes` then only migrates
-        // previously-runnable tasks whose clamp state moved.
-        for &(id, _) in &weights {
-            self.link_runnable(id);
         }
         self.apply_phi_changes();
     }
@@ -583,14 +596,14 @@ impl Scheduler for Sfs {
     fn detach(&mut self, id: TaskId, _now: Time) {
         self.refresh_snapshot();
         self.stats.events += 1;
-        let state = self.tasks[&id].task.state;
+        let task = &self.tasks[&id].task;
+        let (state, w) = (task.state, task.weight);
         assert!(
             !state.is_running(),
             "detach of running task {id}; use put_prev(Exited)"
         );
         if state.is_runnable() {
-            let w = self.tasks[&id].task.weight;
-            self.unlink_runnable(id);
+            self.buckets.remove(id);
             self.feas.remove(id, w);
             self.apply_phi_changes();
         }
@@ -604,12 +617,12 @@ impl Scheduler for Sfs {
         }
         self.refresh_snapshot();
         self.stats.events += 1;
-        self.tasks.get_mut(&id).unwrap().task.weight = w;
-        if self.tasks[&id].task.state.is_runnable() {
+        let task = &mut self.tasks.get_mut(&id).expect("just read").task;
+        task.weight = w;
+        if task.state.is_runnable() {
             self.feas.set_weight(id, old, w);
-            let phi = self.eff_phi(id, w);
-            self.tasks.get_mut(&id).unwrap().task.phi = phi;
-            if self.buckets.set_phi(id, phi) {
+            task.phi = eff_phi(&self.feas, &self.gsnap, id, w);
+            if self.buckets.set_phi(id, task.phi) {
                 self.stats.bucket_migrations += 1;
             }
             self.apply_phi_changes();
@@ -619,7 +632,7 @@ impl Scheduler for Sfs {
             // resort-based implementation left the pre-reweight φ here
             // until the task next ran, so `adjusted_weight_of` lied
             // about blocked tasks after a `set_weight`.
-            self.tasks.get_mut(&id).unwrap().task.phi = w.as_fixed();
+            task.phi = w.as_fixed();
         }
     }
 
@@ -643,20 +656,17 @@ impl Scheduler for Sfs {
         self.refresh_snapshot();
         self.stats.events += 1;
         let v_now = self.current_v();
-        {
-            let e = self.tasks.get_mut(&id).expect("waking unknown task");
-            assert!(
-                matches!(e.task.state, TaskState::Blocked),
-                "waking non-blocked task {id}"
-            );
-            // "S_i = max(F_i, v) if the thread just woke up" (§2.3):
-            // sleeping must not accumulate credit.
-            e.task.start_tag = e.task.finish_tag.max(v_now);
-            e.task.state = TaskState::Ready;
-        }
-        let w = self.tasks[&id].task.weight;
-        self.feas.insert(id, w);
-        self.link_runnable(id);
+        let task = &mut self.tasks.get_mut(&id).expect("waking unknown task").task;
+        assert!(
+            matches!(task.state, TaskState::Blocked),
+            "waking non-blocked task {id}"
+        );
+        // "S_i = max(F_i, v) if the thread just woke up" (§2.3):
+        // sleeping must not accumulate credit.
+        task.start_tag = task.finish_tag.max(v_now);
+        task.state = TaskState::Ready;
+        self.feas.insert(id, task.weight);
+        link_runnable(&self.feas, &self.gsnap, &mut self.buckets, task);
         self.apply_phi_changes();
     }
 
@@ -682,18 +692,15 @@ impl Scheduler for Sfs {
         let mut weights = Vec::with_capacity(ids.len());
         for &id in ids {
             let v_now = self.current_v();
-            let w = {
-                let e = self.tasks.get_mut(&id).expect("waking unknown task");
-                assert!(
-                    matches!(e.task.state, TaskState::Blocked),
-                    "waking non-blocked task {id}"
-                );
-                e.task.start_tag = e.task.finish_tag.max(v_now);
-                e.task.state = TaskState::Ready;
-                e.task.weight
-            };
-            self.link_runnable(id);
-            weights.push((id, w));
+            let task = &mut self.tasks.get_mut(&id).expect("waking unknown task").task;
+            assert!(
+                matches!(task.state, TaskState::Blocked),
+                "waking non-blocked task {id}"
+            );
+            task.start_tag = task.finish_tag.max(v_now);
+            task.state = TaskState::Ready;
+            link_runnable(&self.feas, &self.gsnap, &mut self.buckets, task);
+            weights.push((id, task.weight));
         }
         self.feas.insert_many(&weights);
         self.apply_phi_changes();
@@ -715,13 +722,12 @@ impl Scheduler for Sfs {
             Some(k) => self.pick_heuristic(k),
         }?;
 
-        let e = self.tasks.get_mut(&picked).unwrap();
+        let e = self.tasks.get_mut(&picked).expect("picked a queued task");
         if matches!(e.last_cpu, Some(prev) if prev != cpu) {
             self.stats.migrations += 1;
         }
         e.task.state = TaskState::Running(cpu);
         e.task.dispatched_at = now;
-        self.nr_running += 1;
         self.stats.picks += 1;
         Some(picked)
     }
@@ -729,64 +735,48 @@ impl Scheduler for Sfs {
     fn put_prev(&mut self, id: TaskId, ran: Duration, reason: SwitchReason, _now: Time) {
         self.refresh_snapshot();
         self.stats.events += 1;
-        let w = {
-            let e = self.tasks.get_mut(&id).expect("put_prev of unknown task");
-            assert!(
-                e.task.state.is_running(),
-                "put_prev of non-running task {id}"
-            );
-            if let TaskState::Running(cpu) = e.task.state {
-                e.last_cpu = Some(cpu);
-            }
-            e.task.weight
+        let e = self.tasks.get_mut(&id).expect("put_prev of unknown task");
+        let TaskState::Running(cpu) = e.task.state else {
+            panic!("put_prev of non-running task {id}");
         };
-        self.nr_running -= 1;
+        e.last_cpu = Some(cpu);
+        let task = &mut e.task;
+        let w = task.weight;
         // "φ_i is its instantaneous weight at the end of the quantum"
         // (§2.3): read it before the runnable set changes.
-        let phi = self.eff_phi(id, w);
+        let phi = eff_phi(&self.feas, &self.gsnap, id, w);
         debug_assert_eq!(
             self.buckets.phi_of(id),
             Some(phi),
             "running task's bucket φ out of sync"
         );
-        let finish_tag = {
-            let e = self.tasks.get_mut(&id).unwrap();
-            e.task.phi = phi;
-            // F_i = S_i + q / φ_i (Eq. 5), with the *actual* usage q.
-            let f = e.task.start_tag + phi.div_into_int(ran.as_nanos());
-            e.task.finish_tag = f;
-            e.task.service += ran;
-            f
-        };
+        task.phi = phi;
+        // F_i = S_i + q / φ_i (Eq. 5), with the *actual* usage q.
+        let finish_tag = task.start_tag + phi.div_into_int(ran.as_nanos());
+        task.finish_tag = finish_tag;
+        task.service += ran;
 
         match reason {
             SwitchReason::Preempted | SwitchReason::Yielded => {
-                let e = self.tasks.get_mut(&id).unwrap();
                 // "S_i = F_i if the thread is continuously runnable".
-                e.task.start_tag = finish_tag;
-                e.task.state = TaskState::Ready;
+                task.start_tag = finish_tag;
+                task.state = TaskState::Ready;
                 // The only queue work a quantum end needs: repositioning
                 // this one task inside its own bucket.
                 self.buckets.update_start(id, finish_tag);
             }
-            SwitchReason::Blocked => {
-                self.unlink_runnable(id);
-                let e = self.tasks.get_mut(&id).unwrap();
-                e.task.state = TaskState::Blocked;
+            SwitchReason::Blocked | SwitchReason::Exited => {
+                if reason == SwitchReason::Blocked {
+                    task.state = TaskState::Blocked;
+                } else {
+                    self.tasks.remove(&id);
+                }
+                self.buckets.remove(id);
                 self.feas.remove(id, w);
                 self.apply_phi_changes();
                 if self.buckets.is_empty() {
                     // All processors idle: v freezes at the finish tag of
                     // the thread that ran last (§2.3).
-                    self.v = finish_tag;
-                }
-            }
-            SwitchReason::Exited => {
-                self.unlink_runnable(id);
-                self.feas.remove(id, w);
-                self.apply_phi_changes();
-                self.tasks.remove(&id);
-                if self.buckets.is_empty() {
                     self.v = finish_tag;
                 }
             }

@@ -72,6 +72,7 @@ use crate::fixed::Fixed;
 use crate::policy::PolicySpec;
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
 use crate::task::{CpuId, TaskId, TenantId, Weight};
+use crate::taskmap::TaskMap;
 use crate::time::{Duration, Time};
 
 /// One published epoch of the machine-wide weight readjustment: the
@@ -252,7 +253,7 @@ struct BalTask {
 pub struct Balancer {
     feas: FeasibleWeights,
     cell: Arc<SnapshotCell>,
-    tasks: HashMap<TaskId, BalTask>,
+    tasks: TaskMap<BalTask>,
     shard_phi: Vec<Fixed>,
     shard_cpus: Vec<u32>,
     /// Each tenant's home shard and its live task count. The anchor is
@@ -268,7 +269,7 @@ impl Balancer {
         Balancer {
             feas: FeasibleWeights::new(layout.cpus(), true),
             cell,
-            tasks: HashMap::new(),
+            tasks: TaskMap::new(),
             shard_phi: vec![Fixed::ZERO; layout.shards()],
             shard_cpus: (0..layout.shards()).map(|s| layout.shard_cpus(s)).collect(),
             tenant_home: HashMap::new(),
@@ -307,7 +308,7 @@ impl Balancer {
     /// Folds the φ deltas the last readjustment produced into the
     /// per-shard load sums.
     fn apply_changes(&mut self) {
-        for id in self.feas.take_changed() {
+        for &id in self.feas.changed() {
             let Some(t) = self.tasks.get_mut(&id) else {
                 continue;
             };
@@ -558,13 +559,13 @@ impl Balancer {
         let mut sums = vec![Fixed::ZERO; self.shard_phi.len()];
         let mut runnable = 0usize;
         let mut tenant_counts: HashMap<TenantId, usize> = HashMap::new();
-        for (id, t) in &self.tasks {
+        for (id, t) in self.tasks.iter() {
             if t.runnable {
                 runnable += 1;
                 sums[t.shard] += t.phi;
                 assert_eq!(
                     t.phi,
-                    self.feas.phi(*id, t.weight),
+                    self.feas.phi(id, t.weight),
                     "stale global φ for {id}"
                 );
             }

@@ -12,13 +12,12 @@
 //! Variable-length quanta are charged proportionally:
 //! `pass += stride · q / Q_nominal`.
 
-use std::collections::HashMap;
-
 use crate::feasible::FeasibleWeights;
 use crate::fixed::Fixed;
 use crate::queues::{IndexedList, NodeRef, Order};
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
 use crate::task::{CpuId, TaskId, TaskState, Weight};
+use crate::taskmap::TaskMap;
 use crate::time::{Duration, Time};
 
 /// The classic stride constant.
@@ -55,7 +54,7 @@ struct StrideTask {
 pub struct Stride {
     cfg: StrideConfig,
     cpus: u32,
-    tasks: HashMap<TaskId, StrideTask>,
+    tasks: TaskMap<StrideTask>,
     feas: FeasibleWeights,
     /// Ready+running tasks ordered by pass (ascending).
     pass_q: IndexedList,
@@ -91,7 +90,7 @@ impl Stride {
         Stride {
             cfg,
             cpus,
-            tasks: HashMap::new(),
+            tasks: TaskMap::new(),
             feas: FeasibleWeights::new(cpus, readjust),
             pass_q: IndexedList::new(Order::Ascending),
             global_pass: Fixed::ZERO,

@@ -6,10 +6,9 @@
 //! lockstep with a fixed quantum, and tasks are CPU-bound unless the test
 //! blocks/wakes them explicitly.
 
-use std::collections::HashMap;
-
 use crate::sched::{Scheduler, SwitchReason};
 use crate::task::{CpuId, TaskId, Weight};
+use crate::taskmap::TaskMap;
 use crate::time::{Duration, Time};
 
 /// Lockstep test driver around any [`Scheduler`].
@@ -21,7 +20,7 @@ pub struct MiniSim<S: Scheduler> {
     /// Quantum granted on every dispatch.
     pub quantum: Duration,
     cpus: Vec<Option<TaskId>>,
-    service: HashMap<TaskId, Duration>,
+    service: TaskMap<Duration>,
 }
 
 impl<S: Scheduler> MiniSim<S> {
@@ -33,7 +32,7 @@ impl<S: Scheduler> MiniSim<S> {
             now: Time::ZERO,
             quantum: Duration::from_millis(1),
             cpus: vec![None; n],
-            service: HashMap::new(),
+            service: TaskMap::new(),
         }
     }
 
@@ -41,7 +40,9 @@ impl<S: Scheduler> MiniSim<S> {
     pub fn spawn(&mut self, id: u64, w: u64) {
         self.sched
             .attach(TaskId(id), Weight::new(w).unwrap(), self.now);
-        self.service.entry(TaskId(id)).or_insert(Duration::ZERO);
+        if !self.service.contains_key(&TaskId(id)) {
+            self.service.insert(TaskId(id), Duration::ZERO);
+        }
     }
 
     /// Blocks a task, giving up its CPU mid-quantum after `used` of the

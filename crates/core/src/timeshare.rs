@@ -24,10 +24,9 @@
 //! * an O(t) scan of the ready list at every decision, like the original
 //!   `schedule()` loop.
 
-use std::collections::HashMap;
-
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
 use crate::task::{CpuId, TaskId, TaskState, Weight};
+use crate::taskmap::TaskMap;
 use crate::time::{Duration, Time};
 
 /// One timer tick; Linux 2.2 on x86 used 10 ms.
@@ -69,7 +68,7 @@ struct TsTask {
 pub struct TimeSharing {
     cfg: TimeSharingConfig,
     cpus: u32,
-    tasks: HashMap<TaskId, TsTask>,
+    tasks: TaskMap<TsTask>,
     stats: SchedStats,
 }
 
@@ -90,7 +89,7 @@ impl TimeSharing {
         TimeSharing {
             cfg,
             cpus,
-            tasks: HashMap::new(),
+            tasks: TaskMap::new(),
             stats: SchedStats::default(),
         }
     }
@@ -137,7 +136,7 @@ impl TimeSharing {
         self.tasks
             .iter()
             .filter(|(_, t)| matches!(t.state, TaskState::Ready))
-            .map(|(&id, t)| (id, self.goodness(t)))
+            .map(|(id, t)| (id, self.goodness(t)))
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
     }
 }

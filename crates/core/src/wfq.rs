@@ -13,13 +13,12 @@
 //! Supports the optional readjustment wrapper (§2.1) like the other
 //! baselines.
 
-use std::collections::HashMap;
-
 use crate::feasible::FeasibleWeights;
 use crate::fixed::Fixed;
 use crate::queues::{IndexedList, KeyCounter, NodeRef, Order};
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
 use crate::task::{CpuId, TagTask, TaskId, TaskState, Weight};
+use crate::taskmap::TaskMap;
 use crate::time::{Duration, Time};
 
 /// Tuning knobs for [`Wfq`].
@@ -50,7 +49,7 @@ struct Entry {
 pub struct Wfq {
     cfg: WfqConfig,
     cpus: u32,
-    tasks: HashMap<TaskId, Entry>,
+    tasks: TaskMap<Entry>,
     feas: FeasibleWeights,
     /// Ready+running tasks ordered by precomputed finish tag.
     finish_q: IndexedList,
@@ -79,7 +78,7 @@ impl Wfq {
         Wfq {
             cfg,
             cpus,
-            tasks: HashMap::new(),
+            tasks: TaskMap::new(),
             feas: FeasibleWeights::new(cpus, readjust),
             finish_q: IndexedList::new(Order::Ascending),
             start_tags: KeyCounter::new(),

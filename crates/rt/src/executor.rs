@@ -33,7 +33,6 @@
 //! global lock vs per-shard locks — are preserved, even though the
 //! absolute numbers are userspace numbers.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -46,6 +45,7 @@ use sfs_core::policy::PolicySpec;
 use sfs_core::sched::{select_preemption_victim, SchedStats, Scheduler, SwitchReason};
 use sfs_core::shard::{Balancer, ShardLayout, ShardedScheduler};
 use sfs_core::task::{CpuId, TaskId, TenantId, Weight};
+use sfs_core::taskmap::TaskMap;
 use sfs_core::time::{Duration, Time};
 use sfs_trace::{CounterTrack, MigrateKind, TraceEvent, TraceRecorder};
 
@@ -134,11 +134,11 @@ struct ShardCore {
     /// First machine-wide CPU id of this shard (trace events report
     /// machine ids, not shard-local slots).
     cpu_base: u32,
-    tasks: HashMap<TaskId, Arc<RtTask>>,
+    tasks: TaskMap<Arc<RtTask>>,
     /// Tasks currently blocked in this shard (event or timed sleep).
     /// With a balancer present, mutations additionally require the
     /// global lock, so wake/placement decisions are race-free.
-    blocked: HashSet<TaskId>,
+    blocked: TaskMap<()>,
     switches: u64,
 }
 
@@ -162,7 +162,7 @@ struct Global {
     bal: Option<Balancer>,
     /// Machine-wide task registry, so wake-by-id resolves with one
     /// global probe instead of scanning every shard's lock.
-    registry: HashMap<TaskId, Arc<RtTask>>,
+    registry: TaskMap<Arc<RtTask>>,
     next_id: u64,
     live: usize,
     /// Admission control state (a spec's `admit(...)` clause), or
@@ -298,7 +298,7 @@ impl Inner {
             .fetch_add(used.as_nanos(), Ordering::Relaxed); // relaxed: stats accumulator; readers only need a recent total
         task.revoke();
         if reason == SwitchReason::Blocked {
-            core.blocked.insert(id);
+            core.blocked.insert(id, ());
         }
         let now = self.now();
         core.sched.put_prev(id, used, reason, now);
@@ -453,7 +453,7 @@ impl Inner {
         let now = self.now();
         if !self.sharded() {
             let mut core = self.shards[0].lock();
-            if !core.blocked.remove(&task.id) {
+            if core.blocked.remove(&task.id).is_none() {
                 return false;
             }
             core.sched.wake(task.id, now);
@@ -474,7 +474,7 @@ impl Inner {
         let home = task.shard.load(Ordering::Acquire);
         {
             let core = self.shards[home].lock();
-            if !core.blocked.contains(&task.id) {
+            if !core.blocked.contains_key(&task.id) {
                 return false;
             }
         }
@@ -831,8 +831,8 @@ impl Executor {
                             layout.shard_cpus(s) as usize
                         ],
                         cpu_base: base,
-                        tasks: HashMap::new(),
-                        blocked: HashSet::new(),
+                        tasks: TaskMap::new(),
+                        blocked: TaskMap::new(),
                         switches: 0,
                     },
                 )
@@ -845,7 +845,7 @@ impl Executor {
                 rank::GLOBAL,
                 Global {
                     bal,
-                    registry: HashMap::new(),
+                    registry: TaskMap::new(),
                     next_id: 1,
                     live: 0,
                     admit: admit.map(AdmissionControl::new),
@@ -1278,7 +1278,7 @@ impl Executor {
             for t in core.tasks.values() {
                 t.preempt.store(true, Ordering::Release);
             }
-            let blocked: Vec<TaskId> = core.blocked.drain().collect();
+            let blocked: Vec<TaskId> = std::mem::take(&mut core.blocked).keys().collect();
             for id in blocked {
                 if let Some(bal) = global.bal.as_mut() {
                     bal.wake_in_place(id);
@@ -1519,6 +1519,8 @@ mod tests {
 
     #[test]
     fn yield_now_rotates_equal_weight_tasks() {
+        const YIELDS: usize = 100;
+        const WORK: std::time::Duration = std::time::Duration::from_micros(100);
         let ex = Executor::new(
             RtConfig {
                 cpus: 1,
@@ -1527,22 +1529,22 @@ mod tests {
             small_sfs(1),
         );
         let go = Arc::new(AtomicBool::new(false));
+        // The run order: one `(task, its charged service so far)` entry
+        // at the start of every slice that follows a counted yield.
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
         let mk = |ex: &Executor, name: &str| {
-            let go = Arc::clone(&go);
+            let (go, order) = (Arc::clone(&go), Arc::clone(&order));
             ex.spawn(name, weight(1), move |ctx| {
                 // Hold at the gate until both tasks are runnable, so
                 // every counted yield below has a peer to rotate to.
                 while !go.load(Ordering::Acquire) {
                     ctx.yield_now();
                 }
-                // Charge ~100 µs of real service per yield: per-yield
-                // tag advances must dominate incidental skew (thread
-                // startup latency is charged to the first slice), or
-                // the surplus order degenerates to bursts instead of
-                // rotation.
-                for _ in 0..100 {
+                for _ in 0..YIELDS {
+                    let served = ctx.task.service_ns.load(Ordering::Relaxed);
+                    order.lock().unwrap().push((ctx.id(), served));
                     let t0 = Instant::now();
-                    while t0.elapsed() < std::time::Duration::from_micros(100) {
+                    while t0.elapsed() < WORK {
                         std::hint::spin_loop();
                     }
                     ctx.yield_now();
@@ -1551,16 +1553,55 @@ mod tests {
         };
         let a = mk(&ex, "a");
         let b = mk(&ex, "b");
-        let before = ex.switches();
         go.store(true, Ordering::Release);
         ex.wait();
-        let switches = ex.switches() - before;
-        // 200 equal-charge yields between two co-runnable equal-weight
-        // tasks must rotate: a context switch on most yields. Allow
-        // slack for occasional double-runs when charges are noisy.
-        assert!(switches >= 120, "only {switches} switches");
-        a.join();
-        b.join();
+        let (a_id, a_total) = (a.id(), a.join_service().as_nanos());
+        let b_total = b.join_service().as_nanos();
+        let order = order.lock().unwrap();
+        assert_eq!(order.len(), 2 * YIELDS);
+
+        // Slices are charged in wall-clock time, so under host
+        // contention one inflated slice legitimately buys the peer a
+        // long run of dispatches: neither a switch count nor a run
+        // length is a property of the scheduler. These two are, whatever
+        // the charges. (1) Every yield ends a slice and charges it.
+        // (2) On one CPU with equal weights, the task dispatched is
+        // never the one ahead: with D = service(a) − service(b) read at
+        // each dispatch, D at any dispatch of `a` is at most D at any
+        // dispatch of `b`. Together: a yield hands the CPU to the peer
+        // as soon as the peer is the one behind.
+        let mut a_ahead_at_most = i128::MIN;
+        let mut b_behind_at_least = i128::MAX;
+        for (i, &(id, served)) in order.iter().enumerate() {
+            let later = &order[i + 1..];
+            let next_own = later.iter().find(|e| e.0 == id).map(|e| e.1);
+            let charged = next_own.unwrap_or(if id == a_id { a_total } else { b_total }) - served;
+            assert!(
+                charged >= WORK.as_nanos() as u64,
+                "slice {i} of {id} was charged {charged} ns for {WORK:?} of work"
+            );
+            // The peer has not run since its last charge, so its next
+            // entry holds its service as of this dispatch. Without one
+            // it is about to exit, and nothing is left to rotate to.
+            let Some(peer) = later.iter().find(|e| e.0 != id).map(|e| e.1) else {
+                continue;
+            };
+            let d = if id == a_id {
+                served as i128 - peer as i128
+            } else {
+                peer as i128 - served as i128
+            };
+            if id == a_id {
+                a_ahead_at_most = a_ahead_at_most.max(d);
+            } else {
+                b_behind_at_least = b_behind_at_least.min(d);
+            }
+        }
+        assert!(
+            a_ahead_at_most <= b_behind_at_least,
+            "a task was dispatched while ahead of its ready peer: \
+             a ran at D = {a_ahead_at_most} ns, b at D = {b_behind_at_least} ns"
+        );
     }
 
     #[test]

@@ -129,3 +129,63 @@ proptest! {
         }
     }
 }
+
+/// Task ids are opaque `u64`s: every policy's per-task tables must take
+/// ids far beyond any dense range — `TaskMap`'s spill path — next to a
+/// small one, through a whole attach / run / block / wake / exit / detach
+/// life, under every registered kind, a `groups(...)` hierarchy and
+/// `shards=2`.
+#[test]
+fn every_policy_carries_arbitrary_u64_task_ids() {
+    let grouped: PolicySpec = "sfs:groups(a*2=sfs,b=sfq)".parse().expect("valid spec");
+    let mut specs = PolicySpec::registered();
+    specs.push(grouped);
+    let sharded: Vec<PolicySpec> = specs.iter().map(|s| s.clone().with_shards(2)).collect();
+    specs.extend(sharded);
+
+    let ids = [TaskId(u64::MAX), TaskId(1 << 40), TaskId(3)];
+    for spec in specs {
+        let mut sched = spec.build(2);
+        let mut now = Time::ZERO;
+        for (i, &id) in ids.iter().enumerate() {
+            let tenant = (!spec.groups().is_empty()).then_some(TenantId(i as u32 % 2));
+            sched.attach_tenant(id, weight(2), tenant, now);
+        }
+        assert_eq!(sched.nr_tasks(), ids.len(), "{spec}");
+        assert_eq!(sched.weight_of(TaskId(u64::MAX)), Some(weight(2)), "{spec}");
+
+        let q = Duration::from_millis(1);
+        let mut ran = Vec::new();
+        for round in 0..30 {
+            let picked: Vec<TaskId> = (0..2)
+                .filter_map(|c| sched.pick_next(CpuId(c), now))
+                .collect();
+            now += q;
+            for &id in &picked {
+                // Every tenth round the dispatched tasks block and
+                // are woken again instead of being requeued.
+                if round % 10 == 9 {
+                    sched.put_prev(id, q, SwitchReason::Blocked, now);
+                    sched.wake(id, now);
+                } else {
+                    sched.put_prev(id, q, SwitchReason::Preempted, now);
+                }
+            }
+            ran.extend(picked);
+            sched.check_invariants();
+        }
+        for id in ids {
+            assert!(ran.contains(&id), "{spec}: {id} never ran");
+        }
+
+        // One leaves from a CPU, the others from the run queue.
+        let exiting = sched.pick_next(CpuId(0), now).expect("runnable tasks");
+        sched.put_prev(exiting, q, SwitchReason::Exited, now);
+        for id in ids.into_iter().filter(|&id| id != exiting) {
+            sched.detach(id, now);
+        }
+        assert_eq!(sched.nr_tasks(), 0, "{spec}");
+        assert_eq!(sched.nr_runnable(), 0, "{spec}");
+        sched.check_invariants();
+    }
+}
