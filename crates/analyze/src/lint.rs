@@ -22,6 +22,10 @@
 //! * `task-hashmap` — per-task state in `crates/{core,rt,sim}/src` is
 //!   keyed through `sfs_core::taskmap::TaskMap`; `HashMap<TaskId, _>` /
 //!   `HashSet<TaskId>` put a SipHash on every scheduler event.
+//! * `policy-own-queue` — in `crates/core/src` only `tagq.rs` (the
+//!   tag-queue core) and `queues.rs` itself construct an `IndexedList`
+//!   or a `KeyCounter`; a policy that builds its own run queue is
+//!   re-growing the plumbing the core exists to hold once.
 //!
 //! The scanner strips strings and comments before matching, matches
 //! identifiers exactly (`OrderedMutex` does not trip the `Mutex`
@@ -62,6 +66,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "task-hashmap",
         "no HashMap<TaskId, _> / HashSet<TaskId> in core, rt or sim; use taskmap::TaskMap",
+    ),
+    (
+        "policy-own-queue",
+        "IndexedList::new / KeyCounter::new in sfs-core only in tagq.rs and queues.rs",
     ),
 ];
 
@@ -230,7 +238,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
     let is_sim = rel_path.contains("crates/sim/src");
     let is_rt = rel_path.contains("crates/rt/src");
-    let keys_tasks = is_sim || is_rt || rel_path.contains("crates/core/src");
+    let is_core = rel_path.contains("crates/core/src");
+    let keys_tasks = is_sim || is_rt || is_core;
+    let owns_queues = rel_path.ends_with("/tagq.rs") || rel_path.ends_with("/queues.rs");
     let is_hot = rel_path.ends_with("crates/rt/src/executor.rs")
         || rel_path.ends_with("crates/sim/src/engine.rs")
         || rel_path == "crates/rt/src/executor.rs"
@@ -312,6 +322,18 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
                             "task-hashmap",
                             format!("`{ty}` hashes on every lookup — use taskmap::TaskMap"),
                         );
+                    }
+                }
+                if is_core && !owns_queues {
+                    for ctor in ["IndexedList::new", "KeyCounter::new"] {
+                        if dense.contains(ctor) {
+                            push(
+                                "policy-own-queue",
+                                format!(
+                                    "`{ctor}` outside tagq.rs — state the policy as a TagPolicy"
+                                ),
+                            );
+                        }
                     }
                 }
             }
@@ -537,6 +559,30 @@ mod tests {
     }
 
     #[test]
+    fn policy_own_queue_fires_outside_the_core() {
+        let src = "fn new() -> S { S { q: IndexedList::new(Order::Ascending), k: KeyCounter :: new() } }\n";
+        let f = scan_source("crates/core/src/wfq.rs", src);
+        assert_eq!(
+            rules_fired(&f),
+            ["policy-own-queue", "policy-own-queue"],
+            "{f:?}"
+        );
+        // The core and the queue module own the constructors; other
+        // crates (benches, layer probes) may build bare queues.
+        for path in [
+            "crates/core/src/tagq.rs",
+            "crates/core/src/queues.rs",
+            "crates/bench/src/churn.rs",
+        ] {
+            let f = scan_source(path, src);
+            assert!(f.is_empty(), "{path}: {f:?}");
+        }
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn t() { let l = IndexedList::new(Order::Ascending); }\n}\n";
+        let f = scan_source("crates/core/src/sfs.rs", in_test);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
     fn multi_line_justification_comments_are_honoured() {
         // The marker line may sit several comment lines above the
         // site when the justification wraps.
@@ -637,6 +683,11 @@ mod tests {
                 "task-hashmap",
                 "crates/core/src/sfs.rs",
                 "tasks: HashMap<TaskId, Entry>,\n",
+            ),
+            (
+                "policy-own-queue",
+                "crates/core/src/stride.rs",
+                "pass_q: IndexedList::new(Order::Ascending),\n",
             ),
         ];
         for (rule, path, src) in mutations {

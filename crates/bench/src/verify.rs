@@ -74,6 +74,11 @@ pub fn run_lint(_effort: Effort) -> ExpResult {
             "crates/core/src/sfs.rs",
             "tasks: HashMap<TaskId, Entry>,\n",
         ),
+        (
+            "policy-own-queue",
+            "crates/core/src/stride.rs",
+            "pass_q: IndexedList::new(Order::Ascending),\n",
+        ),
     ];
     let mut caught = 0usize;
     let mut mut_text = String::from("seeded mutations (each rule must fire on its own):\n");

@@ -1,296 +1,101 @@
-//! Borrowed virtual time (BVT) [Duda & Cheriton, SOSP'99].
+//! Borrowed virtual time (BVT) [Duda & Cheriton, SOSP'99], "a
+//! derivative of SFQ with an additional latency parameter" (§1.2), as a
+//! tag rule over the shared core in `tagq.rs`.
 //!
-//! BVT is "a derivative of SFQ with an additional latency parameter"
-//! (§1.2): each thread's *actual* virtual time `A_i` advances by
-//! `q / w_i` as it runs, and the scheduler picks the minimum *effective*
-//! virtual time `E_i = A_i − (warp_i if warped)`. Latency-sensitive
-//! threads are given a positive warp so they jump ahead of the queue on
-//! wakeup while their long-run share is still governed by their weight.
+//! * **key** — the effective virtual time `E_i = A_i − warp_i` for the
+//!   dispatch straight after a wakeup, `A_i` otherwise.
+//! * **floor** — the minimum actual virtual time `A_i` over the runnable
+//!   set; an idle machine remembers the scheduler virtual time of the
+//!   last wakeup.
+//! * **charge** — `A_i += q / φ_i`, and the warp is spent.
+//! * **wake** — `A_i = max(A_i, SVT)` (no sleeper credit) and the warp
+//!   applies, so a latency-sensitive thread jumps the queue while its
+//!   long-run share is still governed by its weight.
+//!
 //! With every warp at zero BVT reduces to SFQ, which a unit test checks.
-//!
-//! Like the other GPS instantiations, BVT inherits the infeasible-weights
-//! pathology on SMPs; the optional readjustment wrapper (§2.1) repairs
-//! it.
+//! Like the other GPS instantiations it inherits the infeasible-weights
+//! pathology on SMPs, which `readjust` (§2.1) repairs.
 
-use crate::feasible::FeasibleWeights;
 use crate::fixed::Fixed;
-use crate::queues::{IndexedList, KeyCounter, NodeRef, Order};
-use crate::sched::{SchedStats, Scheduler, SwitchReason};
-use crate::task::{CpuId, TaskId, TaskState, Weight};
-use crate::taskmap::TaskMap;
-use crate::time::{Duration, Time};
+use crate::tagq::{IdleFloor, TagPolicy, TagQueue};
+use crate::task::TaskId;
+use crate::time::Duration;
 
-/// Tuning knobs for [`Bvt`].
+/// A thread's BVT tags.
 #[derive(Debug, Clone)]
-pub struct BvtConfig {
-    /// Maximum quantum granted per dispatch.
-    pub quantum: Duration,
-    /// Apply weight readjustment (§2.1).
-    pub readjust: bool,
+pub struct BvtTags {
+    /// Actual virtual time `A_i`.
+    pub avt: Fixed,
+    /// Warp granted to this thread (virtual-time units).
+    warp: Fixed,
+    /// Warp in force for the current dispatch: `warp` from a wakeup
+    /// until the thread has run, zero otherwise.
+    applied: Fixed,
 }
 
-impl Default for BvtConfig {
-    fn default() -> BvtConfig {
-        BvtConfig {
-            quantum: Duration::from_millis(200),
-            readjust: false,
+/// BVT's tag rule.
+#[derive(Debug)]
+pub struct BvtRule;
+
+impl TagPolicy for BvtRule {
+    type Tags = BvtTags;
+    const NAMES: [&'static str; 2] = ["BVT", "BVT+readjust"];
+    const IDLE_FLOOR: IdleFloor = IdleFloor::Wake;
+
+    fn arrive(floor: Fixed, _phi: Fixed, _quantum: Duration) -> BvtTags {
+        BvtTags {
+            avt: floor,
+            warp: Fixed::ZERO,
+            applied: Fixed::ZERO,
         }
     }
-}
 
-#[derive(Debug)]
-struct BvtTask {
-    weight: Weight,
-    /// Actual virtual time `A_i`.
-    avt: Fixed,
-    /// Warp offset granted to this thread (virtual-time units).
-    warp: Fixed,
-    /// Whether the warp is currently applied (set on wakeup).
-    warped: bool,
-    state: TaskState,
-    node: Option<NodeRef>,
-}
+    fn wake(t: &mut BvtTags, floor: Fixed, _phi: Fixed, _quantum: Duration) {
+        t.avt = t.avt.max(floor);
+        t.applied = t.warp;
+    }
 
-impl BvtTask {
-    fn evt(&self) -> Fixed {
-        if self.warped {
-            self.avt - self.warp
-        } else {
-            self.avt
-        }
+    fn charge(
+        t: &mut BvtTags,
+        phi: Fixed,
+        ran: Duration,
+        _quantum: Duration,
+        _requeue: bool,
+    ) -> Fixed {
+        t.avt += phi.div_into_int(ran.as_nanos());
+        t.applied = Fixed::ZERO;
+        t.avt
+    }
+
+    fn queue_key(t: &BvtTags) -> Fixed {
+        t.avt - t.applied
+    }
+
+    fn floor_key(t: &BvtTags) -> Option<Fixed> {
+        Some(t.avt)
     }
 }
 
 /// The borrowed-virtual-time scheduler.
-pub struct Bvt {
-    cfg: BvtConfig,
-    cpus: u32,
-    tasks: TaskMap<BvtTask>,
-    feas: FeasibleWeights,
-    /// Ready+running tasks ordered by effective virtual time.
-    evt_q: IndexedList,
-    /// Runnable *actual* virtual times, tracked incrementally: the
-    /// queue above is EVT-ordered (warped entries jump ahead), so the
-    /// wakeup floor (minimum AVT) would otherwise need an O(n) scan
-    /// per arrival or wakeup.
-    avts: KeyCounter,
-    /// Scheduler virtual time: minimum AVT seen, for wakeup flooring.
-    svt: Fixed,
-    stats: SchedStats,
-}
+pub type Bvt = TagQueue<BvtRule>;
 
 impl Bvt {
-    /// BVT with all warps zero (SFQ-equivalent).
-    pub fn new(cpus: u32) -> Bvt {
-        Bvt::with_config(cpus, BvtConfig::default())
-    }
-
-    /// BVT with explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpus` is zero.
-    pub fn with_config(cpus: u32, cfg: BvtConfig) -> Bvt {
-        assert!(cpus > 0, "need at least one processor");
-        let readjust = cfg.readjust;
-        Bvt {
-            cfg,
-            cpus,
-            tasks: TaskMap::new(),
-            feas: FeasibleWeights::new(cpus, readjust),
-            evt_q: IndexedList::new(Order::Ascending),
-            avts: KeyCounter::new(),
-            svt: Fixed::ZERO,
-            stats: SchedStats::default(),
-        }
-    }
-
-    /// Grants a warp (in virtual-time units) to a latency-sensitive task.
+    /// Grants a warp (in virtual-time units) to a latency-sensitive
+    /// task; it applies from the task's next wakeup.
     pub fn set_warp(&mut self, id: TaskId, warp: Fixed) {
-        self.tasks.get_mut(&id).expect("unknown task").warp = warp;
-    }
-
-    fn min_avt(&self) -> Fixed {
-        // Minimum AVT over runnable threads, in O(log n).
-        self.avts.min().unwrap_or(self.svt)
-    }
-
-    fn link(&mut self, id: TaskId) {
-        let evt = self.tasks[&id].evt();
-        let node = self.evt_q.insert(evt, id);
-        self.tasks.get_mut(&id).unwrap().node = Some(node);
-    }
-
-    fn unlink(&mut self, id: TaskId) {
-        if let Some(n) = self.tasks.get_mut(&id).unwrap().node.take() {
-            self.evt_q.remove(n);
-        }
-    }
-}
-
-impl Scheduler for Bvt {
-    fn name(&self) -> &'static str {
-        if self.cfg.readjust {
-            "BVT+readjust"
-        } else {
-            "BVT"
-        }
-    }
-
-    fn cpus(&self) -> u32 {
-        self.cpus
-    }
-
-    fn attach(&mut self, id: TaskId, w: Weight, _now: Time) {
-        assert!(!self.tasks.contains_key(&id), "task {id} attached twice");
-        self.stats.events += 1;
-        let avt = self.min_avt();
-        self.avts.insert(avt);
-        self.tasks.insert(
-            id,
-            BvtTask {
-                weight: w,
-                avt,
-                warp: Fixed::ZERO,
-                warped: false,
-                state: TaskState::Ready,
-                node: None,
-            },
-        );
-        self.feas.insert(id, w);
-        self.link(id);
-    }
-
-    fn detach(&mut self, id: TaskId, _now: Time) {
-        self.stats.events += 1;
-        let state = self.tasks[&id].state;
-        assert!(!state.is_running(), "detach of running task {id}");
-        if state.is_runnable() {
-            let w = self.tasks[&id].weight;
-            self.avts.remove(self.tasks[&id].avt);
-            self.unlink(id);
-            self.feas.remove(id, w);
-        }
-        self.tasks.remove(&id);
-    }
-
-    fn set_weight(&mut self, id: TaskId, w: Weight, _now: Time) {
-        let old = self.tasks[&id].weight;
-        if old == w {
-            return;
-        }
-        self.stats.events += 1;
-        self.tasks.get_mut(&id).unwrap().weight = w;
-        if self.tasks[&id].state.is_runnable() {
-            self.feas.set_weight(id, old, w);
-        }
-    }
-
-    fn weight_of(&self, id: TaskId) -> Option<Weight> {
-        self.tasks.get(&id).map(|t| t.weight)
-    }
-
-    fn adjusted_weight_of(&self, id: TaskId) -> Option<Fixed> {
-        let t = self.tasks.get(&id)?;
-        Some(self.feas.phi(id, t.weight))
-    }
-
-    fn wake(&mut self, id: TaskId, _now: Time) {
-        self.stats.events += 1;
-        self.svt = self.min_avt();
-        {
-            let svt = self.svt;
-            let t = self.tasks.get_mut(&id).expect("waking unknown task");
-            assert!(matches!(t.state, TaskState::Blocked));
-            // BVT floors a waking thread's AVT at the scheduler virtual
-            // time (no sleeper credit) and applies its warp.
-            t.avt = t.avt.max(svt);
-            t.warped = !t.warp.is_zero();
-            t.state = TaskState::Ready;
-        }
-        self.avts.insert(self.tasks[&id].avt);
-        let w = self.tasks[&id].weight;
-        self.feas.insert(id, w);
-        self.link(id);
-    }
-
-    fn pick_next(&mut self, cpu: CpuId, _now: Time) -> Option<TaskId> {
-        let picked = self
-            .evt_q
-            .iter()
-            .map(|(_, id)| id)
-            .find(|id| matches!(self.tasks[id].state, TaskState::Ready))?;
-        self.tasks.get_mut(&picked).unwrap().state = TaskState::Running(cpu);
-        self.stats.picks += 1;
-        Some(picked)
-    }
-
-    fn put_prev(&mut self, id: TaskId, ran: Duration, reason: SwitchReason, _now: Time) {
-        self.stats.events += 1;
-        let w = {
-            let t = &self.tasks[&id];
-            assert!(t.state.is_running(), "put_prev of non-running {id}");
-            t.weight
-        };
-        let phi = self.feas.phi(id, w);
-        let old_avt = {
-            let t = self.tasks.get_mut(&id).unwrap();
-            let old_avt = t.avt;
-            t.avt += phi.div_into_int(ran.as_nanos());
-            // The warp applies only to the dispatch straight after a
-            // wakeup; once the thread has run it competes normally.
-            t.warped = false;
-            old_avt
-        };
-        match reason {
-            SwitchReason::Preempted | SwitchReason::Yielded => {
-                self.avts.update(old_avt, self.tasks[&id].avt);
-                let evt = self.tasks[&id].evt();
-                let node = self.tasks[&id].node.expect("runnable without node");
-                self.evt_q.update_key(node, evt);
-                self.tasks.get_mut(&id).unwrap().state = TaskState::Ready;
-            }
-            SwitchReason::Blocked => {
-                self.avts.remove(old_avt);
-                self.unlink(id);
-                self.tasks.get_mut(&id).unwrap().state = TaskState::Blocked;
-                self.feas.remove(id, w);
-            }
-            SwitchReason::Exited => {
-                self.avts.remove(old_avt);
-                self.unlink(id);
-                self.feas.remove(id, w);
-                self.tasks.remove(&id);
-            }
-        }
-    }
-
-    fn time_slice(&self, _id: TaskId) -> Duration {
-        self.cfg.quantum
-    }
-
-    fn nr_runnable(&self) -> usize {
-        self.evt_q.len()
-    }
-
-    fn nr_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
-    fn stats(&self) -> SchedStats {
-        let mut s = self.stats;
-        s.readjust_calls = self.feas.calls;
-        s.weights_clamped = self.feas.clamps;
-        s.event_steps = self.evt_q.steps() + self.avts.steps() + self.feas.event_steps();
-        s
+        self.tags_mut(id).expect("unknown task").warp = warp;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{Scheduler, SwitchReason};
     use crate::sfq::Sfq;
+    use crate::tagq::TagConfig;
+    use crate::task::{CpuId, Weight};
     use crate::testkit::{assert_close, MiniSim};
+    use crate::time::Time;
 
     #[test]
     fn proportional_on_uniprocessor() {
@@ -371,9 +176,9 @@ mod tests {
     fn readjustment_clamps_on_smp() {
         let mut sim = MiniSim::new(Bvt::with_config(
             2,
-            BvtConfig {
+            TagConfig {
                 readjust: true,
-                ..BvtConfig::default()
+                ..TagConfig::default()
             },
         ));
         sim.spawn(1, 1);

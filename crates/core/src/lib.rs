@@ -27,9 +27,12 @@
 //!   §2.1 readjustment kept logically global through an epoch-published
 //!   snapshot (`sfs:shards=4`).
 //! * Baselines the paper compares against or cites: [`sfq`] (start-time
-//!   fair queueing, with optional readjustment — Figs. 4/5),
-//!   [`timeshare`] (the Linux 2.2 epoch/goodness scheduler — Figs. 6/7,
-//!   Table 1), and [`stride`], [`bvt`], [`wfq`], [`rr`].
+//!   fair queueing, with optional readjustment — Figs. 4/5), [`stride`],
+//!   [`bvt`] and [`wfq`] — the GPS instantiations of §1.2, each a tag
+//!   rule (queue key, floor, charge, wake) over the one tag-queue core
+//!   in `tagq.rs`, configured by [`TagConfig`] — plus [`timeshare`]
+//!   (the Linux 2.2 epoch/goodness scheduler — Figs. 6/7, Table 1) and
+//!   [`rr`].
 //! * Overload armor: [`admit`] — admission control and per-tenant
 //!   rate limits (`admit(max=...,rate=.../s)` on any spec), and
 //!   [`fault`] — deterministic fault-injection plans the substrates
@@ -80,6 +83,7 @@ pub mod sfq;
 pub mod sfs;
 pub mod shard;
 pub mod stride;
+mod tagq;
 pub mod task;
 pub mod taskmap;
 #[doc(hidden)]
@@ -91,7 +95,7 @@ pub mod wfq;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::admit::{AdmissionControl, AdmissionPolicy, RejectReason};
-    pub use crate::bvt::{Bvt, BvtConfig};
+    pub use crate::bvt::Bvt;
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan};
     pub use crate::fixed::Fixed;
     pub use crate::gms::FluidGms;
@@ -100,14 +104,15 @@ pub mod prelude {
     pub use crate::readjust::{is_feasible, readjust, Readjustment};
     pub use crate::rr::RoundRobin;
     pub use crate::sched::{SchedStats, Scheduler, SwitchReason};
-    pub use crate::sfq::{Sfq, SfqConfig};
+    pub use crate::sfq::Sfq;
     pub use crate::sfs::{Sfs, SfsConfig};
     pub use crate::shard::{ShardLayout, ShardedScheduler};
-    pub use crate::stride::{Stride, StrideConfig};
+    pub use crate::stride::Stride;
+    pub use crate::tagq::TagConfig;
     pub use crate::task::{weight, CpuId, TaskId, TaskState, TenantId, Weight};
     pub use crate::time::{Duration, Time};
     pub use crate::timeshare::{TimeSharing, TimeSharingConfig};
-    pub use crate::wfq::{Wfq, WfqConfig};
+    pub use crate::wfq::Wfq;
 }
 
 pub use prelude::*;

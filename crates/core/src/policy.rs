@@ -29,18 +29,19 @@ use core::str::FromStr;
 use std::sync::Arc;
 
 use crate::admit::{AdmissionPolicy, ParseAdmitError};
-use crate::bvt::{Bvt, BvtConfig};
+use crate::bvt::Bvt;
 use crate::hier::HierSfs;
 use crate::rr::RoundRobin;
 use crate::sched::Scheduler;
-use crate::sfq::{Sfq, SfqConfig};
+use crate::sfq::Sfq;
 use crate::sfs::{Sfs, SfsConfig};
 use crate::shard::{ShardedScheduler, SnapshotCell};
-use crate::stride::{Stride, StrideConfig};
+use crate::stride::Stride;
+use crate::tagq::TagConfig;
 use crate::task::TenantId;
 use crate::time::Duration;
 use crate::timeshare::{TimeSharing, TimeSharingConfig};
-use crate::wfq::{Wfq, WfqConfig};
+use crate::wfq::Wfq;
 
 /// The algorithms registered with [`PolicySpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -630,6 +631,15 @@ impl PolicySpec {
         self.build_base(cpus, Some(cell))
     }
 
+    /// The configuration the tag-queue kinds (sfq, stride, bvt, wfq)
+    /// are built with.
+    fn tag_config(&self) -> TagConfig {
+        TagConfig {
+            quantum: self.quantum.unwrap_or(TagConfig::default().quantum),
+            readjust: self.readjust,
+        }
+    }
+
     fn build_base(&self, cpus: u32, snapshot: Option<&Arc<SnapshotCell>>) -> Box<dyn Scheduler> {
         if !self.groups.is_empty() {
             debug_assert_eq!(self.kind, PolicyKind::Sfs);
@@ -654,14 +664,7 @@ impl PolicySpec {
                 cfg.phi_snapshot = snapshot.map(Arc::clone);
                 Box::new(Sfs::with_config(cpus, cfg))
             }
-            PolicyKind::Sfq => {
-                let mut cfg = SfqConfig::default();
-                if let Some(q) = self.quantum {
-                    cfg.quantum = q;
-                }
-                cfg.readjust = self.readjust;
-                Box::new(Sfq::with_config(cpus, cfg))
-            }
+            PolicyKind::Sfq => Box::new(Sfq::with_config(cpus, self.tag_config())),
             PolicyKind::TimeSharing => {
                 let mut cfg = TimeSharingConfig::default();
                 if let Some(t) = self.ticks {
@@ -669,30 +672,9 @@ impl PolicySpec {
                 }
                 Box::new(TimeSharing::with_config(cpus, cfg))
             }
-            PolicyKind::Stride => {
-                let mut cfg = StrideConfig::default();
-                if let Some(q) = self.quantum {
-                    cfg.quantum = q;
-                }
-                cfg.readjust = self.readjust;
-                Box::new(Stride::with_config(cpus, cfg))
-            }
-            PolicyKind::Bvt => {
-                let mut cfg = BvtConfig::default();
-                if let Some(q) = self.quantum {
-                    cfg.quantum = q;
-                }
-                cfg.readjust = self.readjust;
-                Box::new(Bvt::with_config(cpus, cfg))
-            }
-            PolicyKind::Wfq => {
-                let mut cfg = WfqConfig::default();
-                if let Some(q) = self.quantum {
-                    cfg.quantum = q;
-                }
-                cfg.readjust = self.readjust;
-                Box::new(Wfq::with_config(cpus, cfg))
-            }
+            PolicyKind::Stride => Box::new(Stride::with_config(cpus, self.tag_config())),
+            PolicyKind::Bvt => Box::new(Bvt::with_config(cpus, self.tag_config())),
+            PolicyKind::Wfq => Box::new(Wfq::with_config(cpus, self.tag_config())),
             PolicyKind::RoundRobin => {
                 let q = self.quantum.unwrap_or(Duration::from_millis(200));
                 Box::new(RoundRobin::new(cpus, q))

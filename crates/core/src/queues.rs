@@ -534,6 +534,12 @@ impl KeyCounter {
     pub fn min(&self) -> Option<Fixed> {
         self.keys.first_key_value().map(|(&k, _)| k)
     }
+
+    /// Every distinct key with its multiplicity, ascending; for
+    /// invariant checks.
+    pub fn iter(&self) -> impl Iterator<Item = (Fixed, u32)> + '_ {
+        self.keys.iter().map(|(&k, &n)| (k, n))
+    }
 }
 
 /// Forward iterator over an [`IndexedList`].

@@ -23,6 +23,9 @@ pub struct RoundRobin {
     quantum: Duration,
     tasks: TaskMap<RrTask>,
     ready: VecDeque<TaskId>,
+    /// Ready plus running tasks, counted as they change state: the
+    /// substrates read `nr_runnable` per arrival and under shard locks.
+    runnable: usize,
     stats: SchedStats,
 }
 
@@ -39,6 +42,7 @@ impl RoundRobin {
             quantum,
             tasks: TaskMap::new(),
             ready: VecDeque::new(),
+            runnable: 0,
             stats: SchedStats::default(),
         }
     }
@@ -65,6 +69,7 @@ impl Scheduler for RoundRobin {
         self.stats.events += 1;
         self.stats.event_steps += 1;
         self.ready.push_back(id);
+        self.runnable += 1;
     }
 
     fn detach(&mut self, id: TaskId, _now: Time) {
@@ -73,6 +78,9 @@ impl Scheduler for RoundRobin {
         self.stats.events += 1;
         self.stats.event_steps += self.ready.len() as u64;
         self.ready.retain(|&r| r != id);
+        if t.state.is_runnable() {
+            self.runnable -= 1;
+        }
     }
 
     fn set_weight(&mut self, id: TaskId, w: Weight, _now: Time) {
@@ -92,6 +100,7 @@ impl Scheduler for RoundRobin {
         assert!(matches!(t.state, TaskState::Blocked));
         t.state = TaskState::Ready;
         self.ready.push_back(id);
+        self.runnable += 1;
     }
 
     fn pick_next(&mut self, cpu: CpuId, _now: Time) -> Option<TaskId> {
@@ -112,9 +121,11 @@ impl Scheduler for RoundRobin {
             }
             SwitchReason::Blocked => {
                 self.tasks.get_mut(&id).unwrap().state = TaskState::Blocked;
+                self.runnable -= 1;
             }
             SwitchReason::Exited => {
                 self.tasks.remove(&id);
+                self.runnable -= 1;
             }
         }
     }
@@ -124,10 +135,7 @@ impl Scheduler for RoundRobin {
     }
 
     fn nr_runnable(&self) -> usize {
-        self.tasks
-            .values()
-            .filter(|t| t.state.is_runnable())
-            .count()
+        self.runnable
     }
 
     fn nr_tasks(&self) -> usize {
@@ -186,5 +194,35 @@ mod tests {
         assert_eq!(s.nr_runnable(), 2);
         // The woken task goes behind the other ready task.
         assert_eq!(s.pick_next(CpuId(0), Time::ZERO), Some(TaskId(1)));
+    }
+
+    #[test]
+    fn runnable_counter_matches_the_task_table() {
+        let scan = |s: &RoundRobin| s.tasks.values().filter(|t| t.state.is_runnable()).count();
+        let mut s = RoundRobin::new(2, Duration::from_millis(1));
+        for i in 0..5 {
+            s.attach(TaskId(i), Weight::DEFAULT, Time::ZERO);
+            assert_eq!(s.nr_runnable(), scan(&s));
+        }
+        let a = s.pick_next(CpuId(0), Time::ZERO).unwrap();
+        let b = s.pick_next(CpuId(1), Time::ZERO).unwrap();
+        assert_eq!((s.nr_runnable(), scan(&s)), (5, 5));
+        s.put_prev(a, Duration::ZERO, SwitchReason::Blocked, Time::ZERO);
+        assert_eq!((s.nr_runnable(), scan(&s)), (4, 4));
+        s.put_prev(b, Duration::ZERO, SwitchReason::Exited, Time::ZERO);
+        assert_eq!((s.nr_runnable(), scan(&s)), (3, 3));
+        s.wake(a, Time::ZERO);
+        assert_eq!((s.nr_runnable(), scan(&s)), (4, 4));
+        let c = s.pick_next(CpuId(0), Time::ZERO).unwrap();
+        s.put_prev(c, Duration::ZERO, SwitchReason::Yielded, Time::ZERO);
+        assert_eq!((s.nr_runnable(), scan(&s)), (4, 4));
+        // Detach one ready task and one blocked task.
+        s.detach(c, Time::ZERO);
+        assert_eq!((s.nr_runnable(), scan(&s)), (3, 3));
+        let d = s.pick_next(CpuId(0), Time::ZERO).unwrap();
+        s.put_prev(d, Duration::ZERO, SwitchReason::Blocked, Time::ZERO);
+        s.detach(d, Time::ZERO);
+        assert_eq!((s.nr_runnable(), scan(&s)), (2, 2));
+        assert_eq!(s.nr_tasks(), 2);
     }
 }

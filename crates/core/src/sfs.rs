@@ -530,14 +530,13 @@ impl Scheduler for Sfs {
         self.cpus
     }
 
-    fn attach(&mut self, id: TaskId, w: Weight, now: Time) {
+    fn attach(&mut self, id: TaskId, w: Weight, _now: Time) {
         assert!(!self.tasks.contains_key(&id), "task {id} attached twice");
         self.refresh_snapshot();
         self.stats.events += 1;
         // "When a new thread arrives, its start tag is initialized as
         // S_i = v" (§2.3).
         let mut task = TagTask::new(id, w, self.current_v());
-        task.dispatched_at = now;
         self.feas.insert(id, w);
         link_runnable(&self.feas, &self.gsnap, &mut self.buckets, &mut task);
         self.tasks.insert(
@@ -580,7 +579,6 @@ impl Scheduler for Sfs {
         // previously-runnable tasks whose clamp state moved.
         for &(id, w) in &weights {
             let mut task = TagTask::new(id, w, v);
-            task.dispatched_at = now;
             link_runnable(&self.feas, &self.gsnap, &mut self.buckets, &mut task);
             self.tasks.insert(
                 id,
@@ -706,7 +704,7 @@ impl Scheduler for Sfs {
         self.apply_phi_changes();
     }
 
-    fn pick_next(&mut self, cpu: CpuId, now: Time) -> Option<TaskId> {
+    fn pick_next(&mut self, cpu: CpuId, _now: Time) -> Option<TaskId> {
         self.refresh_snapshot();
         if self.buckets.is_empty() {
             return None;
@@ -727,7 +725,6 @@ impl Scheduler for Sfs {
             self.stats.migrations += 1;
         }
         e.task.state = TaskState::Running(cpu);
-        e.task.dispatched_at = now;
         self.stats.picks += 1;
         Some(picked)
     }
@@ -978,7 +975,8 @@ mod tests {
     fn reduces_to_sfq_on_uniprocessor() {
         // On one CPU the min-surplus thread is the min-start-tag thread:
         // SFS and SFQ must make identical decisions on identical inputs.
-        use crate::sfq::{Sfq, SfqConfig};
+        use crate::sfq::Sfq;
+        use crate::tagq::TagConfig;
         let mut sfs = Sfs::with_config(
             1,
             SfsConfig {
@@ -988,10 +986,9 @@ mod tests {
         );
         let mut sfq = Sfq::with_config(
             1,
-            SfqConfig {
+            TagConfig {
                 quantum: Duration::from_millis(1),
                 readjust: true,
-                ..SfqConfig::default()
             },
         );
         let weights = [3u64, 1, 7, 2];

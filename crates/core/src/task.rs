@@ -4,7 +4,7 @@ use core::fmt;
 use core::num::NonZeroU64;
 
 use crate::fixed::Fixed;
-use crate::time::{Duration, Time};
+use crate::time::Duration;
 
 /// Identifies a schedulable entity (the paper's "thread").
 ///
@@ -122,8 +122,8 @@ impl TaskState {
     }
 }
 
-/// Per-task accounting shared by the tag-based schedulers (SFQ, SFS,
-/// WFQ, BVT).
+/// Per-task accounting of SFS (the tag-queue policies keep their own
+/// tag structs beside their tag rules).
 ///
 /// Field names follow §2.3: `start_tag`/`finish_tag` are the virtual-time
 /// tags `S_i`/`F_i` and `phi` is the instantaneous (readjusted) weight
@@ -145,8 +145,6 @@ pub struct TagTask {
     pub state: TaskState,
     /// Total CPU service received so far.
     pub service: Duration,
-    /// Instant the task was last dispatched (while `Running`).
-    pub dispatched_at: Time,
 }
 
 impl TagTask {
@@ -160,7 +158,6 @@ impl TagTask {
             finish_tag: start_tag,
             state: TaskState::Ready,
             service: Duration::ZERO,
-            dispatched_at: Time::ZERO,
         }
     }
 }

@@ -6,7 +6,8 @@
 //! * the simulator never manufactures CPU time: total delivered service
 //!   is bounded by `cpus × duration` under every policy on randomised
 //!   scenarios, driven end to end through the registry and the
-//!   `Experiment` front-end.
+//!   `Experiment` front-end — and again with the policy's structural
+//!   invariants audited after every scheduler event.
 
 use proptest::prelude::*;
 use sfs::core::policy::PolicyKind;
@@ -76,6 +77,99 @@ proptest! {
     }
 }
 
+/// Forwards every [`Scheduler`] call to the wrapped policy and audits
+/// its structural invariants after each one that mutates it.
+struct Audited(Box<dyn Scheduler>);
+
+impl Audited {
+    fn then_check<R>(&mut self, op: impl FnOnce(&mut dyn Scheduler) -> R) -> R {
+        let r = op(self.0.as_mut());
+        self.0.check_invariants();
+        r
+    }
+}
+
+impl Scheduler for Audited {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn cpus(&self) -> u32 {
+        self.0.cpus()
+    }
+    fn attach(&mut self, id: TaskId, w: Weight, now: Time) {
+        self.then_check(|s| s.attach(id, w, now));
+    }
+    fn bind_tenant(&self, group: &str) -> Option<TenantId> {
+        self.0.bind_tenant(group)
+    }
+    fn attach_tenant(&mut self, id: TaskId, w: Weight, tenant: Option<TenantId>, now: Time) {
+        self.then_check(|s| s.attach_tenant(id, w, tenant, now));
+    }
+    fn attach_batch(&mut self, batch: &[(TaskId, Weight, Option<TenantId>)], now: Time) {
+        self.then_check(|s| s.attach_batch(batch, now));
+    }
+    fn arrive_batch(&mut self, batch: &[(TaskId, Weight, Option<TenantId>)], now: Time) {
+        self.then_check(|s| s.arrive_batch(batch, now));
+    }
+    fn wake_batch(&mut self, ids: &[TaskId], now: Time) {
+        self.then_check(|s| s.wake_batch(ids, now));
+    }
+    fn tenant_of(&self, id: TaskId) -> Option<TenantId> {
+        self.0.tenant_of(id)
+    }
+    fn detach(&mut self, id: TaskId, now: Time) {
+        self.then_check(|s| s.detach(id, now));
+    }
+    fn reap(&mut self, id: TaskId, now: Time) {
+        self.then_check(|s| s.reap(id, now));
+    }
+    fn set_weight(&mut self, id: TaskId, w: Weight, now: Time) {
+        self.then_check(|s| s.set_weight(id, w, now));
+    }
+    fn weight_of(&self, id: TaskId) -> Option<Weight> {
+        self.0.weight_of(id)
+    }
+    fn adjusted_weight_of(&self, id: TaskId) -> Option<Fixed> {
+        self.0.adjusted_weight_of(id)
+    }
+    fn wake(&mut self, id: TaskId, now: Time) {
+        self.then_check(|s| s.wake(id, now));
+    }
+    fn pick_next(&mut self, cpu: CpuId, now: Time) -> Option<TaskId> {
+        self.then_check(|s| s.pick_next(cpu, now))
+    }
+    fn put_prev(&mut self, id: TaskId, ran: Duration, reason: SwitchReason, now: Time) {
+        self.then_check(|s| s.put_prev(id, ran, reason, now));
+    }
+    fn time_slice(&self, id: TaskId) -> Duration {
+        self.0.time_slice(id)
+    }
+    fn wake_preempts(&self, woken: TaskId, running: TaskId, ran: Duration, now: Time) -> bool {
+        self.0.wake_preempts(woken, running, ran, now)
+    }
+    fn steal_candidate(&self) -> Option<TaskId> {
+        self.0.steal_candidate()
+    }
+    fn charged_surplus(&self, id: TaskId, ran: Duration, now: Time) -> Option<Fixed> {
+        self.0.charged_surplus(id, ran, now)
+    }
+    fn nr_runnable(&self) -> usize {
+        self.0.nr_runnable()
+    }
+    fn nr_tasks(&self) -> usize {
+        self.0.nr_tasks()
+    }
+    fn stats(&self) -> SchedStats {
+        self.0.stats()
+    }
+    fn virtual_time(&self) -> Option<Fixed> {
+        self.0.virtual_time()
+    }
+    fn check_invariants(&self) {
+        self.0.check_invariants();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -126,6 +220,16 @@ proptest! {
                 "{} delivered {total} > budget {budget} on {cpus} cpus",
                 run.sched_name
             );
+        }
+        // The same runs with every policy's invariants checked after
+        // each event (a violation panics): auditing observes only, so
+        // the delivered service is the compare run's.
+        for (spec, run) in PolicySpec::registered().iter().zip(&cmp.runs) {
+            let audited = exp
+                .scenario()
+                .try_run(Box::new(Audited(spec.build(cpus))))
+                .expect("well-formed scenario");
+            prop_assert_eq!(audited.total_service(), run.total_service(), "{}", run.sched_name);
         }
     }
 }

@@ -1,0 +1,272 @@
+//! Behaviour pin for the four tag-queue policies.
+//!
+//! A seeded multi-CPU script (attach, pick, yield/preempt with variable
+//! `ran`, block, wake, reweight, detach, exit, periodic drains to an
+//! idle machine; BVT with warped tasks) runs through SFQ, WFQ, stride
+//! and BVT with readjustment off and on. Every pick is folded into a
+//! 64-bit digest together with the picked task's `adjusted_weight_of`
+//! and the policy's `virtual_time`, every `wake_preempts` verdict at a
+//! wakeup, and the final work counters.
+//!
+//! The constants below were recorded from the four hand-written
+//! implementations that preceded the shared tag-queue core. They are
+//! the reference for that refactor and for every later change to it:
+//! a different digest means a different decision, tag or work counter.
+//! Do not regenerate them to make a change pass.
+
+use sfs_core::prelude::*;
+
+/// FNV-1a over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Digest {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn fixed(&mut self, f: Option<Fixed>) {
+        match f {
+            None => self.word(0),
+            Some(f) => {
+                let raw = f.raw();
+                self.word(1);
+                self.word(raw as u64);
+                self.word((raw >> 64) as u64);
+            }
+        }
+    }
+}
+
+/// xorshift64*, so the script does not depend on any crate's stream.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+const CPUS: usize = 3;
+const QUANTUM: Duration = Duration::from_millis(10);
+/// Skewed so weight assignments are often infeasible on three CPUs.
+const WEIGHTS: [u64; 8] = [1, 1, 2, 3, 5, 8, 40, 200];
+const STEPS: usize = 6000;
+
+/// Drives one seeded script through `s`, folding every observation
+/// into `d`. `on_attach` runs after each `attach` (BVT grants warps).
+fn drive<S: Scheduler>(s: &mut S, seed: u64, d: &mut Digest, on_attach: &dyn Fn(&mut S, TaskId)) {
+    let mut rng = Rng(seed | 1);
+    let mut now = Time::ZERO;
+    let mut next_id = 0u64;
+    let mut running: [Option<TaskId>; CPUS] = [None; CPUS];
+    let mut ready_or_running: Vec<TaskId> = Vec::new();
+    let mut blocked: Vec<TaskId> = Vec::new();
+
+    for step in 0..STEPS {
+        now += Duration::from_micros(100 + rng.below(900) as u64);
+        // Every 1500 steps the script drains the machine to idle (only
+        // blocks and picks), so the idle-floor rule is exercised.
+        let draining = step % 1500 >= 1350;
+        let op = if draining {
+            2 + rng.below(2)
+        } else {
+            rng.below(16)
+        };
+        match op {
+            // Arrival.
+            0 | 1 if ready_or_running.len() + blocked.len() < 40 => {
+                let id = TaskId(next_id);
+                next_id += 1;
+                let w = weight(WEIGHTS[rng.below(WEIGHTS.len())]);
+                s.attach(id, w, now);
+                on_attach(s, id);
+                ready_or_running.push(id);
+            }
+            // Dispatch on every idle processor.
+            2 | 4 | 5 => {
+                for (cpu, slot) in running.iter_mut().enumerate() {
+                    if slot.is_some() {
+                        continue;
+                    }
+                    let picked = s.pick_next(CpuId(cpu as u32), now);
+                    d.word(cpu as u64);
+                    d.word(picked.map_or(u64::MAX, |id| id.0));
+                    if let Some(id) = picked {
+                        d.fixed(s.adjusted_weight_of(id));
+                    }
+                    d.fixed(s.virtual_time());
+                    *slot = picked;
+                }
+            }
+            // A running task stops: requeue, block or exit.
+            3 | 6..=9 => {
+                let cpu = rng.below(CPUS);
+                let Some(id) = running[cpu].take() else {
+                    continue;
+                };
+                let ran = match rng.below(4) {
+                    0 => QUANTUM,
+                    1 => Duration::ZERO,
+                    _ => Duration::from_micros(rng.below(10_000) as u64),
+                };
+                let reason = if draining {
+                    SwitchReason::Blocked
+                } else {
+                    match rng.below(10) {
+                        0..=4 => SwitchReason::Preempted,
+                        5 | 6 => SwitchReason::Yielded,
+                        7 | 8 => SwitchReason::Blocked,
+                        _ => SwitchReason::Exited,
+                    }
+                };
+                s.put_prev(id, ran, reason, now);
+                match reason {
+                    SwitchReason::Preempted | SwitchReason::Yielded => {}
+                    SwitchReason::Blocked => {
+                        ready_or_running.retain(|&t| t != id);
+                        blocked.push(id);
+                    }
+                    SwitchReason::Exited => ready_or_running.retain(|&t| t != id),
+                }
+            }
+            // Wakeup, with the preemption verdict against each runner.
+            10 | 11 if !blocked.is_empty() => {
+                let id = blocked.swap_remove(rng.below(blocked.len()));
+                s.wake(id, now);
+                ready_or_running.push(id);
+                for (cpu, slot) in running.iter().enumerate() {
+                    if let Some(r) = *slot {
+                        let ran = Duration::from_micros(rng.below(10_000) as u64);
+                        d.word(cpu as u64);
+                        d.word(u64::from(s.wake_preempts(id, r, ran, now)));
+                    }
+                }
+            }
+            // Reweight any attached task (ready, running or blocked).
+            12 | 13 => {
+                let n = ready_or_running.len() + blocked.len();
+                if n == 0 {
+                    continue;
+                }
+                let k = rng.below(n);
+                let id = if k < ready_or_running.len() {
+                    ready_or_running[k]
+                } else {
+                    blocked[k - ready_or_running.len()]
+                };
+                s.set_weight(id, weight(WEIGHTS[rng.below(WEIGHTS.len())]), now);
+            }
+            // Kill a task that is not on a processor.
+            14 => {
+                let victims: Vec<TaskId> = ready_or_running
+                    .iter()
+                    .chain(blocked.iter())
+                    .copied()
+                    .filter(|id| !running.contains(&Some(*id)))
+                    .collect();
+                if victims.is_empty() {
+                    continue;
+                }
+                let id = victims[rng.below(victims.len())];
+                s.detach(id, now);
+                ready_or_running.retain(|&t| t != id);
+                blocked.retain(|&t| t != id);
+            }
+            _ => {}
+        }
+        s.check_invariants();
+        assert_eq!(s.nr_runnable(), ready_or_running.len());
+        assert_eq!(s.nr_tasks(), ready_or_running.len() + blocked.len());
+    }
+
+    let st = s.stats();
+    for w in [
+        st.picks,
+        st.events,
+        st.event_steps,
+        st.readjust_calls,
+        st.weights_clamped,
+    ] {
+        d.word(w);
+    }
+}
+
+/// Three seeds per configuration, folded into one digest.
+fn digest<S: Scheduler>(make: impl Fn() -> S, on_attach: &dyn Fn(&mut S, TaskId)) -> u64 {
+    let mut d = Digest::new();
+    for seed in [0x5f5_2000, 0x0dd_ba11, 0xc0ff_ee00] {
+        let mut s = make();
+        drive(&mut s, seed, &mut d, on_attach);
+    }
+    d.0
+}
+
+fn no_warp<S>(_: &mut S, _: TaskId) {}
+
+/// Every third BVT task is latency-sensitive.
+fn warp_thirds(s: &mut Bvt, id: TaskId) {
+    if id.0.is_multiple_of(3) {
+        s.set_warp(id, Fixed::from_int(2_000_000 * (1 + id.0 as i64 % 4)));
+    }
+}
+
+fn cfg(readjust: bool) -> TagConfig {
+    TagConfig {
+        quantum: QUANTUM,
+        readjust,
+    }
+}
+
+fn sfq(readjust: bool) -> Sfq {
+    Sfq::with_config(CPUS as u32, cfg(readjust))
+}
+
+fn wfq(readjust: bool) -> Wfq {
+    Wfq::with_config(CPUS as u32, cfg(readjust))
+}
+
+fn stride(readjust: bool) -> Stride {
+    Stride::with_config(CPUS as u32, cfg(readjust))
+}
+
+fn bvt(readjust: bool) -> Bvt {
+    Bvt::with_config(CPUS as u32, cfg(readjust))
+}
+
+#[test]
+fn sfq_digest() {
+    assert_eq!(digest(|| sfq(false), &no_warp), 0x695c_c4bb_2adb_fbd3);
+    assert_eq!(digest(|| sfq(true), &no_warp), 0x03b0_3044_2ac3_50fb);
+}
+
+#[test]
+fn wfq_digest() {
+    assert_eq!(digest(|| wfq(false), &no_warp), 0xb66d_6a83_336a_2e92);
+    assert_eq!(digest(|| wfq(true), &no_warp), 0xa659_de8d_26a8_23d4);
+}
+
+#[test]
+fn stride_digest() {
+    assert_eq!(digest(|| stride(false), &no_warp), 0x2191_c72e_102a_2ab2);
+    assert_eq!(digest(|| stride(true), &no_warp), 0x45b7_ad8a_7a8c_2430);
+}
+
+#[test]
+fn bvt_digest() {
+    assert_eq!(digest(|| bvt(false), &warp_thirds), 0x6fe5_f8ea_3e60_4198);
+    assert_eq!(digest(|| bvt(true), &warp_thirds), 0x5e15_62da_acd7_3de4);
+}
