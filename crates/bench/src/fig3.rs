@@ -25,7 +25,6 @@ fn accuracy(threads: usize, k: usize, picks: u64) -> f64 {
     let mut sched = PolicySpec::sfs()
         .with_quantum(quantum)
         .with_heuristic(k)
-        .with_refresh_every(100)
         .with_audit()
         .build(cpus);
     let mut now = Time::ZERO;

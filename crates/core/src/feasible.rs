@@ -14,23 +14,27 @@
 //! the runnable set is held as a **per-weight-class count map**
 //! (`BTreeMap<weight, BTreeSet<TaskId>>`): `insert`, `remove` and
 //! `set_weight` are O(p + log C) for `C` distinct weights, and the
-//! top-(p−1) prefix is read off the heaviest classes directly.
+//! top-(p−1) prefix is read off the heaviest classes directly and
+//! handed, with the running total, to the one walk in
+//! [`mod@crate::readjust`] — this module decides nothing about
+//! feasibility itself, it keeps the clamp set and the change report.
 //!
 //! The clamp boundary can never split a weight class: clamping a thread
-//! of weight `w` forces the final cap below `w` (its clamp condition is
-//! `w · rem_p > rem_sum`), while *stopping* at a thread of the same
-//! weight forces the cap to at least `w` — a contradiction. Hence the
+//! of weight `w` forces the final cap below `w` (that is its clamp
+//! condition), while *stopping* at a thread of the same weight forces
+//! the cap to at least `w` — a contradiction. Hence the
 //! clamp set is always a union of whole classes, whichever order ties
 //! are walked in, and membership is order-independent. At most `p − 1`
 //! threads are ever clamped (§2.1), so the clamp set is a tiny sorted
 //! vector and `phi` lookups are O(log p) binary searches.
 
 use std::cell::Cell;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::fixed::Fixed;
 use crate::queues::tree_steps;
-use crate::readjust::Readjustment;
+use crate::readjust::walk;
 use crate::task::{TaskId, Weight};
 
 /// Tracks the runnable set's weights and their feasible readjustment.
@@ -61,12 +65,10 @@ pub struct FeasibleWeights {
     /// Readjustment bookkeeping steps (class-map updates, prefix walks
     /// and clamp-set diffs); the event-path cost counter.
     walk_steps: u64,
-    /// Individual weights collected for the most recent §2.1 prefix
-    /// walk; readjustment can clamp at most `p − 1` threads, so this
-    /// never exceeds `cpus − 1`.
-    last_prefix_len: usize,
-    /// Scratch for the §2.1 prefix walk and for the next clamp set, kept
-    /// across passes so a readjustment allocates nothing.
+    /// The weights handed to the most recent §2.1 walk (at most
+    /// `cpus − 1`: readjustment cannot clamp more) and scratch for the
+    /// next clamp set, kept across passes so a readjustment allocates
+    /// nothing.
     prefix: Vec<u64>,
     next_clamped: Vec<TaskId>,
     /// Clamp-set membership probes served (`phi` / `is_clamped`).
@@ -92,7 +94,6 @@ impl FeasibleWeights {
             calls: 0,
             clamps: 0,
             walk_steps: 0,
-            last_prefix_len: 0,
             prefix: Vec::new(),
             next_clamped: Vec::new(),
             lookups: Cell::new(0),
@@ -142,12 +143,7 @@ impl FeasibleWeights {
     /// Adds a task to the runnable set and readjusts.
     /// Returns `true` if any task's instantaneous weight changed.
     pub fn insert(&mut self, id: TaskId, w: Weight) -> bool {
-        self.walk_steps += self.map_steps();
-        let fresh = self.classes.entry(w.get()).or_default().insert(id);
-        debug_assert!(fresh, "task {id} already tracked");
-        self.len += 1;
-        self.total += w.get() as u128;
-        self.run()
+        self.insert_many(&[(id, w)])
     }
 
     /// Adds a whole batch of tasks and readjusts **once**. The final
@@ -163,12 +159,33 @@ impl FeasibleWeights {
         }
         for &(id, w) in batch {
             self.walk_steps += self.map_steps();
-            let fresh = self.classes.entry(w.get()).or_default().insert(id);
-            debug_assert!(fresh, "task {id} already tracked");
+            self.link(id, w);
             self.len += 1;
             self.total += w.get() as u128;
         }
         self.run()
+    }
+
+    /// Files `id` under weight class `w`.
+    fn link(&mut self, id: TaskId, w: Weight) {
+        let fresh = self.classes.entry(w.get()).or_default().insert(id);
+        debug_assert!(fresh, "task {id} already tracked");
+    }
+
+    /// Takes `id` out of weight class `w`, dropping the class with its
+    /// last member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task is not tracked under weight `w`.
+    fn unlink(&mut self, id: TaskId, w: Weight) {
+        let Entry::Occupied(mut class) = self.classes.entry(w.get()) else {
+            panic!("untracked task {id}");
+        };
+        assert!(class.get_mut().remove(&id), "untracked task {id}");
+        if class.get().is_empty() {
+            class.remove();
+        }
     }
 
     /// Removes a task from the runnable set (block/exit) and readjusts.
@@ -179,15 +196,7 @@ impl FeasibleWeights {
     /// Panics if the task is not tracked under weight `w`.
     pub fn remove(&mut self, id: TaskId, w: Weight) -> bool {
         self.walk_steps += self.map_steps();
-        let class = self
-            .classes
-            .get_mut(&w.get())
-            .expect("removing untracked task");
-        let removed = class.remove(&id);
-        assert!(removed, "removing untracked task {id}");
-        if class.is_empty() {
-            self.classes.remove(&w.get());
-        }
+        self.unlink(id, w);
         self.len -= 1;
         self.total -= w.get() as u128;
         if let Ok(i) = self.clamped.binary_search(&id) {
@@ -203,17 +212,8 @@ impl FeasibleWeights {
     /// Panics if the task is not tracked under weight `old`.
     pub fn set_weight(&mut self, id: TaskId, old: Weight, new: Weight) -> bool {
         self.walk_steps += 2 * self.map_steps();
-        let class = self
-            .classes
-            .get_mut(&old.get())
-            .expect("re-weighting untracked task");
-        let removed = class.remove(&id);
-        assert!(removed, "re-weighting untracked task {id}");
-        if class.is_empty() {
-            self.classes.remove(&old.get());
-        }
-        let fresh = self.classes.entry(new.get()).or_default().insert(id);
-        debug_assert!(fresh, "task {id} tracked twice");
+        self.unlink(id, old);
+        self.link(id, new);
         self.total = self.total - old.get() as u128 + new.get() as u128;
         self.run()
     }
@@ -295,17 +295,11 @@ impl FeasibleWeights {
             return false;
         }
         self.calls += 1;
-        // Collect the at most p−1 largest weights off the heaviest
-        // classes; readjust() only needs that prefix plus the total.
-        // (Clamping thread p−1 leaves one processor for the rest, so a
-        // p-th entry could never be examined.)
-        let p = self.cpus as u128;
-        let adj: Readjustment = if p <= 1 || self.classes.is_empty() {
-            self.last_prefix_len = 0;
-            Readjustment::UNCHANGED
-        } else {
-            let limit = (self.cpus - 1) as usize;
-            self.prefix.clear();
+        // The §2.1 walk needs only the p−1 largest weights (none on a
+        // uniprocessor) and the total: read them off the heaviest classes.
+        let limit = self.cpus.saturating_sub(1) as usize;
+        self.prefix.clear();
+        if limit > 0 {
             'outer: for (&w, ids) in self.classes.iter().rev() {
                 self.walk_steps += 1;
                 for _ in 0..ids.len() {
@@ -315,10 +309,9 @@ impl FeasibleWeights {
                     self.prefix.push(w);
                 }
             }
-            self.last_prefix_len = self.prefix.len();
-            self.walk_steps += self.prefix.len() as u64;
-            readjust_prefix(&self.prefix, self.total, self.cpus)
-        };
+        }
+        self.walk_steps += self.prefix.len() as u64;
+        let adj = walk(self.prefix.iter().map(|&w| (w, 1)), self.total, self.cpus).flat();
 
         if adj.clamped == 0 && self.clamped.is_empty() {
             // Nothing was clamped and nothing is: there is no clamp set
@@ -367,44 +360,10 @@ impl FeasibleWeights {
     }
 }
 
-/// Runs the feasibility walk over the descending `prefix` of the weight
-/// classes given the precomputed `total`; equivalent to
-/// [`readjust`](crate::readjust::readjust) on the full sorted weight
-/// vector but O(p).
-fn readjust_prefix(prefix: &[u64], total: u128, cpus: u32) -> Readjustment {
-    let mut rem_sum = total;
-    let mut rem_p = cpus as u128;
-    let mut clamped = 0usize;
-    for &w in prefix {
-        if rem_p <= 1 {
-            break;
-        }
-        if (w as u128) * rem_p > rem_sum {
-            rem_sum -= w as u128;
-            rem_p -= 1;
-            clamped += 1;
-        } else {
-            break;
-        }
-    }
-    if clamped == 0 {
-        return Readjustment::UNCHANGED;
-    }
-    let cap = if rem_sum == 0 {
-        Fixed::ONE
-    } else {
-        Fixed::from_ratio(rem_sum as i64, rem_p as i64)
-    };
-    Readjustment {
-        clamped,
-        cap: Some(cap),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::readjust::is_feasible_fixed;
+    use crate::readjust::oracle::is_feasible_fixed;
     use crate::task::weight;
 
     fn phis(f: &FeasibleWeights, tasks: &[(TaskId, Weight)]) -> Vec<Fixed> {
@@ -547,17 +506,17 @@ mod tests {
         let mut f = FeasibleWeights::new(4, true);
         for i in 0..3u64 {
             f.insert(TaskId(i), weight(10 + i));
-            assert_eq!(f.last_prefix_len, (i as usize + 1).min(3));
+            assert_eq!(f.prefix.len(), (i as usize + 1).min(3));
         }
         for i in 3..40u64 {
             f.insert(TaskId(i), weight(1 + i % 7));
-            assert_eq!(f.last_prefix_len, 3, "prefix must stay at p−1");
+            assert_eq!(f.prefix.len(), 3, "prefix must stay at p−1");
         }
         // On a uniprocessor nothing can ever clamp, so no prefix is
         // collected at all.
         let mut up = FeasibleWeights::new(1, true);
         up.insert(TaskId(1), weight(50));
-        assert_eq!(up.last_prefix_len, 0);
+        assert_eq!(up.prefix.len(), 0);
     }
 
     #[test]
@@ -607,7 +566,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "removing untracked task")]
+    #[should_panic(expected = "untracked task")]
     fn remove_untracked_panics() {
         let mut f = FeasibleWeights::new(2, true);
         f.remove(TaskId(9), weight(1));

@@ -6,13 +6,12 @@
 //! declares them. [`HierSfs`] nests the algorithm: the **top level is
 //! SFS over groups** — each group's share is its weight, group virtual
 //! tags advance by `q / φ_g` exactly as thread tags do (§2.3), and
-//! capacity-aware group-level readjustment
-//! ([`readjust_capped`]) clamps
-//! infeasible shares: a group with `c` runnable members can consume up
-//! to `min(c, p)` processors, not the single processor §2.1 assumes of
-//! a thread — while each
-//! group's member tasks are scheduled by that group's own policy (any
-//! registered [`PolicySpec`] kind).
+//! group-level readjustment clamps infeasible shares through
+//! [`readjust_capped`] — the same §2.1 walk the threads get, fed
+//! `(share, capacity)` entries: a group with `c` runnable members can
+//! consume up to `min(c, p)` processors, not the single processor §2.1
+//! assumes of a thread — while each group's member tasks are scheduled
+//! by that group's own policy (any registered [`PolicySpec`] kind).
 //!
 //! A pick is two-level: the minimum-surplus group that has a ready
 //! member is chosen from the group-level [`BucketQueue`], then that
@@ -211,23 +210,25 @@ impl HierSfs {
         }
     }
 
+    /// The queued groups, in index order, and the `(share, capacity)`
+    /// entry each presents to the capacity-generalized §2.1 walk.
+    fn queued_entries(&self) -> (Vec<usize>, Vec<(u64, u32)>) {
+        (0..self.groups.len())
+            .filter(|&gi| self.buckets.contains(HierSfs::gid(gi)))
+            .map(|gi| (gi, (self.groups[gi].share.get(), self.capacity_of(gi))))
+            .unzip()
+    }
+
     /// Recomputes every queued group's instantaneous weight `φ_g` via
-    /// the capacity-generalized §2.1 walk and migrates changed groups
-    /// to their new weight-class buckets.
+    /// [`readjust_capped`] and migrates changed groups to their new
+    /// weight-class buckets.
     fn readjust_groups(&mut self) {
         self.stats.readjust_calls += 1;
-        let mut idx = Vec::new();
-        let mut entries = Vec::new();
-        for (gi, g) in self.groups.iter().enumerate() {
-            if self.buckets.contains(HierSfs::gid(gi)) {
-                idx.push(gi);
-                entries.push((g.share.get(), (g.runnable() as u32).min(self.cpus).max(1)));
-            }
-        }
+        let (queued, entries) = self.queued_entries();
         self.stats.event_steps += entries.len() as u64;
         let (phis, clamps) = readjust_capped(&entries, self.cpus);
         self.stats.weights_clamped += clamps as u64;
-        for (k, &gi) in idx.iter().enumerate() {
+        for (k, &gi) in queued.iter().enumerate() {
             self.groups[gi].cap = entries[k].1;
             if self.groups[gi].phi != phis[k] {
                 self.groups[gi].phi = phis[k];
@@ -262,8 +263,6 @@ impl HierSfs {
         self.buckets
             .check_invariants(|gid| self.groups[gid.0 as usize].start_tag);
         let v = self.current_v();
-        let mut share_total: u128 = 0;
-        let mut queued: Vec<usize> = Vec::new();
         for (gi, g) in self.groups.iter().enumerate() {
             g.sched.check_invariants();
             let gid = HierSfs::gid(gi);
@@ -279,8 +278,6 @@ impl HierSfs {
                 g.name
             );
             if self.buckets.contains(gid) {
-                queued.push(gi);
-                share_total += u128::from(g.share.get());
                 assert!(
                     g.start_tag >= v,
                     "group {:?} start tag below virtual time",
@@ -300,16 +297,14 @@ impl HierSfs {
                 );
             }
         }
+        let (queued, entries) = self.queued_entries();
+        let share_total: u128 = entries.iter().map(|&(w, _)| u128::from(w)).sum();
         assert_eq!(
             self.queued_share_total, share_total,
             "group shares conserve"
         );
         // The held φ_g must be exactly what a fresh capacity-aware
         // readjustment over the queued shares produces...
-        let entries: Vec<(u64, u32)> = queued
-            .iter()
-            .map(|&gi| (self.groups[gi].share.get(), self.capacity_of(gi)))
-            .collect();
         let (phis, _) = readjust_capped(&entries, self.cpus);
         let total: i128 = phis.iter().map(|f| f.raw()).sum();
         let cap_total: u64 = entries.iter().map(|&(_, c)| u64::from(c)).sum();

@@ -7,7 +7,9 @@
 //!
 //! * [`mod@readjust`] — the optimal weight readjustment algorithm (§2.1)
 //!   that maps infeasible weight assignments to the closest feasible
-//!   ones, plus [`feasible::FeasibleWeights`], which re-runs it on every
+//!   ones: one walk, reached as `readjust` (sorted weights),
+//!   `readjust_capped` (tenant groups with capacities) and through
+//!   [`feasible::FeasibleWeights`], which re-runs it on every
 //!   runnable-set change as the kernel implementation does (§3.1).
 //! * [`gms`] — generalized multiprocessor sharing, the idealized
 //!   fluid-flow reference (§2.2).

@@ -249,7 +249,6 @@ pub struct PolicySpec {
     quantum: Option<Duration>,
     readjust: bool,
     heuristic: Option<usize>,
-    refresh_every: Option<u64>,
     affinity_margin: Option<Duration>,
     audit: bool,
     ticks: Option<i64>,
@@ -267,7 +266,6 @@ impl PolicySpec {
             quantum: None,
             readjust: false,
             heuristic: None,
-            refresh_every: None,
             affinity_margin: None,
             audit: false,
             ticks: None,
@@ -450,24 +448,6 @@ impl PolicySpec {
         );
         self.assert_flat("heuristic");
         self.heuristic = Some(k);
-        self
-    }
-
-    /// Forces a full surplus refresh every `n` heuristic picks (SFS
-    /// only).
-    ///
-    /// # Panics
-    ///
-    /// Panics for non-SFS kinds.
-    #[must_use]
-    pub fn with_refresh_every(mut self, n: u64) -> PolicySpec {
-        assert!(
-            self.kind == PolicyKind::Sfs,
-            "`refresh` does not apply to {}",
-            self.kind
-        );
-        self.assert_flat("refresh");
-        self.refresh_every = Some(n);
         self
     }
 
@@ -656,9 +636,6 @@ impl PolicySpec {
                     cfg.quantum = q;
                 }
                 cfg.heuristic = self.heuristic;
-                if let Some(n) = self.refresh_every {
-                    cfg.refresh_every = n;
-                }
                 cfg.affinity_margin = self.affinity_margin;
                 cfg.audit_heuristic = self.audit;
                 cfg.phi_snapshot = snapshot.map(Arc::clone);
@@ -700,9 +677,6 @@ impl fmt::Display for PolicySpec {
         }
         if let Some(k) = self.heuristic {
             emit(f, format_args!("heuristic={k}"))?;
-        }
-        if let Some(n) = self.refresh_every {
-            emit(f, format_args!("refresh={n}"))?;
         }
         if let Some(m) = self.affinity_margin {
             emit(f, format_args!("affinity={}", FmtDuration(m)))?;
@@ -849,10 +823,6 @@ impl FromStr for PolicySpec {
                     check(kind == PolicyKind::Sfs)?;
                     spec.heuristic = Some(parse_num(want_value()?, "heuristic")?);
                 }
-                "refresh" => {
-                    check(kind == PolicyKind::Sfs)?;
-                    spec.refresh_every = Some(parse_num(want_value()?, "refresh")?);
-                }
                 "affinity" => {
                     check(kind == PolicyKind::Sfs)?;
                     spec.affinity_margin = Some(parse_duration(want_value()?)?);
@@ -887,7 +857,6 @@ impl FromStr for PolicySpec {
         if !spec.groups.is_empty()
             && (spec.quantum.is_some()
                 || spec.heuristic.is_some()
-                || spec.refresh_every.is_some()
                 || spec.affinity_margin.is_some()
                 || spec.audit)
         {
@@ -1088,7 +1057,6 @@ mod tests {
             PolicySpec::sfs()
                 .with_quantum(Duration::from_millis(5))
                 .with_heuristic(20)
-                .with_refresh_every(100)
                 .with_affinity_margin(Duration::from_millis(10))
                 .with_audit(),
             PolicySpec::sfq()
@@ -1164,6 +1132,11 @@ mod tests {
         ] {
             assert!(bad.parse::<PolicySpec>().is_err(), "{bad:?} parsed");
         }
+        let err = "sfs:refresh=5".parse::<PolicySpec>().unwrap_err();
+        assert!(
+            err.to_string().contains("unknown option \"refresh\""),
+            "{err}"
+        );
     }
 
     #[test]

@@ -14,14 +14,6 @@
 //! so the algorithm only inspects a prefix of the weight-sorted run queue
 //! and runs in `O(p)` given that ordering.
 //!
-//! Two implementations are provided:
-//!
-//! * [`readjust_reference`] — a direct transliteration of the recursive
-//!   procedure in Figure 2, using exact rational arithmetic. Used as the
-//!   test oracle.
-//! * [`readjust`] — the production `O(p)` iterative form used by the
-//!   schedulers, based on the closed form derived below.
-//!
 //! **Closed form.** Let the runnable weights be sorted in descending
 //! order. Walk the prefix: thread `i` (0-based) is infeasible iff
 //! `w_i · (p − i) > Σ_{j ≥ i} w_j`. Let `m` be the number of infeasible
@@ -29,10 +21,40 @@
 //! of the feasible tail. Unfolding the recursion in Figure 2 shows every
 //! infeasible thread receives the *same* adjusted weight
 //! `φ = T / (p − m)`, which makes each of their shares exactly
-//! `φ / (m·φ + T) = 1/p`. The reference implementation and a property
-//! test confirm the equivalence.
+//! `φ / (m·φ + T) = 1/p`.
+//!
+//! **Capacities.** §2.1 assumes each entity is a thread that can consume
+//! at most one processor. A tenant group ([`crate::hier`]) with `c`
+//! runnable members can consume up to `c`, so the constraint generalizes
+//! to `φ_g · p ≤ c_g · Σ_h φ_h`. The same greedy argument applies with
+//! entities ordered by `w/c` descending: entity `g` is infeasible iff
+//! `w_g · p' > c_g · W'`, with `W'` and `p'` the weight and processors
+//! left once the entities clamped before it are set aside; each clamp
+//! removes `c_g` processors, and every clamped entity lands exactly *at*
+//! its capacity, `φ_g = c_g · T / (p − Σ c)`. With every capacity 1 this
+//! is the closed form above.
+//!
+//! **One walk, three callers.** That test is evaluated in exactly one
+//! place, the crate-private `walk`, over a `(weight, capacity)` prefix
+//! and a precomputed total, and `c · T / (p − Σ c)` is converted to
+//! fixed point in one place, in 128 bits. The callers differ only in how
+//! they come by the prefix:
+//!
+//! * [`readjust`] — a weight-descending vector: sums it, walks the
+//!   first `p − 1` entries at capacity 1.
+//! * [`readjust_capped`] — `(weight, capacity)` entities in any order:
+//!   selects the top `p − 1` by `w/c`, walks them.
+//! * [`FeasibleWeights`](crate::feasible::FeasibleWeights) — what the
+//!   schedulers run on every event: hands over the heaviest `p − 1`
+//!   weights off its class map and its running total, so a pass never
+//!   re-sums the runnable set.
+//!
+//! The test module keeps a direct transliteration of the recursive
+//! procedure in Figure 2, in exact rational arithmetic, as the oracle
+//! the walk is property-tested against; `tests/readjust_differential.rs`
+//! pins the three callers against each other.
 
-use crate::fixed::Fixed;
+use crate::fixed::{Fixed, SCALE};
 
 /// Outcome of a readjustment pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,18 +94,70 @@ pub fn is_feasible(weights: &[u64], cpus: u32) -> bool {
     weights.iter().all(|&w| (w as u128) * cpus as u128 <= total)
 }
 
-/// Checks feasibility of fixed-point instantaneous weights.
-pub fn is_feasible_fixed(phis: &[Fixed], cpus: u32) -> bool {
-    let total: i128 = phis.iter().map(|f| f.raw()).sum();
-    phis.iter().all(|f| f.raw() * cpus as i128 <= total)
+/// What [`walk`] leaves behind: how many entries of the prefix it
+/// clamped, the weight `T` of the feasible tail and the processors left
+/// to serve it.
+pub(crate) struct Tail {
+    pub(crate) clamped: usize,
+    weight: u128,
+    cpus: u128,
 }
 
-/// Runs the iterative `O(p)` readjustment over weights sorted in
-/// descending order.
+impl Tail {
+    /// The weight a clamped entity of capacity `c` lands on:
+    /// `c · T / (p − Σ_clamped c)`, rounded toward zero. With an empty
+    /// tail (less demand than processors) every clamped entity can hold
+    /// its full capacity continuously, so the capacities themselves are
+    /// an exact assignment.
+    fn cap(&self, c: u32) -> Fixed {
+        if self.weight == 0 {
+            return Fixed::from_int(i64::from(c));
+        }
+        Fixed::from_raw((u128::from(c) * self.weight * SCALE as u128 / self.cpus) as i128)
+    }
+
+    /// The outcome for threads (capacity 1).
+    pub(crate) fn flat(&self) -> Readjustment {
+        Readjustment {
+            clamped: self.clamped,
+            cap: (self.clamped > 0).then(|| self.cap(1)),
+        }
+    }
+}
+
+/// The §2.1 walk: clamps entries of `prefix` — `(weight, capacity)`
+/// pairs in `w/c`-descending order, all counted in `total` — until the
+/// first feasible one; every later entry is feasible too.
+///
+/// A clamp needs `w · p' > c · W'` and has `W' ≥ w`, hence `p' > c`:
+/// the processor count stays positive, and since each clamp takes at
+/// least one processor a prefix of `p − 1` entries is always enough.
+pub(crate) fn walk(prefix: impl IntoIterator<Item = (u64, u32)>, total: u128, cpus: u32) -> Tail {
+    let (mut rem_w, mut rem_p) = (total, u128::from(cpus));
+    let mut clamped = 0;
+    for (w, c) in prefix {
+        let (w, c) = (u128::from(w), u128::from(c));
+        // Infeasible iff (w/c) / rem_w > 1 / rem_p.
+        if w * rem_p <= c * rem_w {
+            break;
+        }
+        rem_w -= w;
+        rem_p -= c;
+        clamped += 1;
+    }
+    Tail {
+        clamped,
+        weight: rem_w,
+        cpus: rem_p,
+    }
+}
+
+/// Readjusts weights sorted in descending order.
 ///
 /// Only the first `min(p − 1, t)` entries are ever inspected; the walk
 /// stops at the first feasible thread (all later threads have smaller
-/// weights and are therefore feasible too, §2.1).
+/// weights and are therefore feasible too, §2.1). On a uniprocessor
+/// every assignment is feasible.
 ///
 /// Degenerate case: if *every* runnable thread is clamped the feasible
 /// tail is empty (`T = 0`), which happens only when `t < p`. Each thread
@@ -98,66 +172,14 @@ pub fn readjust(weights_desc: &[u64], cpus: u32) -> Readjustment {
         weights_desc.windows(2).all(|w| w[0] >= w[1]),
         "weights must be sorted in descending order"
     );
-    let p = cpus as u128;
-    if p <= 1 || weights_desc.is_empty() {
-        // On a uniprocessor every assignment is feasible.
-        return Readjustment::UNCHANGED;
-    }
-
     let total: u128 = weights_desc.iter().map(|&w| w as u128).sum();
-    let mut rem_sum = total;
-    let mut rem_p = p;
-    let mut clamped = 0usize;
-
-    for &w in weights_desc {
-        if rem_p <= 1 {
-            break;
-        }
-        // Infeasible iff w / rem_sum > 1 / rem_p  ⇔  w · rem_p > rem_sum.
-        if (w as u128) * rem_p > rem_sum {
-            rem_sum -= w as u128;
-            rem_p -= 1;
-            clamped += 1;
-        } else {
-            break;
-        }
-    }
-
-    if clamped == 0 {
-        return Readjustment::UNCHANGED;
-    }
-
-    let cap = if rem_sum == 0 {
-        // Fewer runnable threads than processors; equal weights are exact.
-        Fixed::ONE
-    } else {
-        Fixed::from_ratio(rem_sum as i64, rem_p as i64)
-    };
-    Readjustment {
-        clamped,
-        cap: Some(cap),
-    }
+    let prefix = weights_desc.iter().take(cpus.saturating_sub(1) as usize);
+    walk(prefix.map(|&w| (w, 1)), total, cpus).flat()
 }
 
 /// Capacity-generalized readjustment, used for *group*-level
-/// feasibility in [`crate::hier`].
-///
-/// §2.1 assumes each entity is a thread that can consume at most one
-/// processor. A tenant **group** with `c` runnable members can consume
-/// up to `c` processors, so the feasibility constraint generalizes to
-///
-/// ```text
-/// φ_g · p  ≤  c_g · Σ_h φ_h        (group feasibility)
-/// ```
-///
-/// with `c_g = min(runnable members, p)`. The same greedy argument
-/// applies with entities ordered by `w/c` descending: entity `g` is
-/// infeasible iff `w_g · rem_p > c_g · rem_w` (remaining sums excluding
-/// already-clamped entities), each clamp removes `c_g` processors of
-/// capacity, and every clamped entity lands exactly *at* its capacity:
-/// `φ_g = c_g · T / (p − Σ_clamped c)` where `T` is the weight of the
-/// feasible tail. With all capacities 1 this reduces to [`readjust`]
-/// (a property test below pins the equivalence).
+/// feasibility in [`crate::hier`] with `c_g = min(runnable members, p)`
+/// (see the module docs).
 ///
 /// `entries` is a slice of `(weight, capacity)` pairs in any order;
 /// capacities must be ≥ 1. Returns the instantaneous weights in input
@@ -170,10 +192,10 @@ pub fn readjust_capped(entries: &[(u64, u32)], cpus: u32) -> (Vec<Fixed>, usize)
         .iter()
         .map(|&(w, _)| Fixed::from_int(w as i64))
         .collect();
-    if cpus <= 1 || entries.is_empty() {
+    let prefix = (cpus.saturating_sub(1) as usize).min(entries.len());
+    if prefix == 0 {
         return (phis, 0);
     }
-    let p = u128::from(cpus);
     let ratio_desc = |&a: &usize, &b: &usize| {
         // w_a/c_a vs w_b/c_b, descending, by cross-multiplication.
         let (wa, ca) = entries[a];
@@ -181,145 +203,17 @@ pub fn readjust_capped(entries: &[(u64, u32)], cpus: u32) -> (Vec<Fixed>, usize)
         (u128::from(wb) * u128::from(ca)).cmp(&(u128::from(wa) * u128::from(cb)))
     };
     let mut order: Vec<usize> = (0..entries.len()).collect();
-    let prefix = (cpus as usize - 1).min(order.len());
     if order.len() > prefix {
         order.select_nth_unstable_by(prefix - 1, ratio_desc);
     }
     order[..prefix].sort_unstable_by(ratio_desc);
 
-    let mut rem_w: u128 = entries.iter().map(|&(w, _)| u128::from(w)).sum();
-    let mut rem_p = p;
-    let mut clamped: Vec<usize> = Vec::new();
-    for &i in &order[..prefix] {
-        let (w, c) = entries[i];
-        let (w, c) = (u128::from(w), u128::from(c));
-        // Infeasible iff (w/c) / rem_w > 1 / rem_p. Note the clamp
-        // condition together with rem_w ≥ w forces rem_p > c, so the
-        // remaining capacity stays positive throughout.
-        if w * rem_p > c * rem_w {
-            rem_w -= w;
-            rem_p -= c;
-            clamped.push(i);
-        } else {
-            break;
-        }
+    let total: u128 = entries.iter().map(|&(w, _)| u128::from(w)).sum();
+    let tail = walk(order[..prefix].iter().map(|&i| entries[i]), total, cpus);
+    for &i in &order[..tail.clamped] {
+        phis[i] = tail.cap(entries[i].1);
     }
-    for &i in &clamped {
-        let c = u128::from(entries[i].1);
-        phis[i] = if rem_w == 0 {
-            // Less total demand than processors: every clamped entity
-            // can hold its full capacity continuously, so capacities
-            // themselves are an exact assignment.
-            Fixed::from_int(entries[i].1 as i64)
-        } else {
-            let num = (c * rem_w).min(i64::MAX as u128) as i64;
-            Fixed::from_ratio(num, rem_p as i64)
-        };
-    }
-    (phis, clamped.len())
-}
-
-/// Exact rational number used by the reference implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ratio {
-    num: i128,
-    den: i128,
-}
-
-impl Ratio {
-    fn int(v: i128) -> Ratio {
-        Ratio { num: v, den: 1 }
-    }
-
-    fn new(num: i128, den: i128) -> Ratio {
-        assert!(den != 0);
-        let g = gcd(num.unsigned_abs(), den.unsigned_abs()) as i128;
-        let sign = if den < 0 { -1 } else { 1 };
-        Ratio {
-            num: sign * num / g.max(1),
-            den: sign * den / g.max(1),
-        }
-    }
-
-    fn add(self, o: Ratio) -> Ratio {
-        Ratio::new(self.num * o.den + o.num * self.den, self.den * o.den)
-    }
-
-    fn div_int(self, k: i128) -> Ratio {
-        Ratio::new(self.num, self.den * k)
-    }
-
-    /// `self / total > 1 / p`  ⇔  `self · p > total`.
-    fn exceeds_share(self, total: Ratio, p: i128) -> bool {
-        // self·p > total  ⇔  num·p·total.den > total.num·den
-        self.num * p * total.den > total.num * self.den
-    }
-
-    fn to_fixed(self) -> Fixed {
-        Fixed::from_raw(self.num * crate::fixed::SCALE / self.den)
-    }
-}
-
-fn gcd(mut a: u128, mut b: u128) -> u128 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    if a == 0 {
-        1
-    } else {
-        a
-    }
-}
-
-/// Direct transliteration of Figure 2, with exact rational arithmetic.
-///
-/// ```text
-/// readjust(w[1..t], i, p):
-///     if w[i] / Σ_{j=i..t} w[j] > 1/p:
-///         readjust(w, i+1, p−1)
-///         sum = Σ_{j=i+1..t} w[j]
-///         w[i] = sum / (p−1)
-/// ```
-///
-/// Returns the full vector of instantaneous weights `φ_i` (fixed-point),
-/// in the same (descending) order as the input. Used as the oracle for
-/// [`readjust`].
-pub fn readjust_reference(weights_desc: &[u64], cpus: u32) -> Vec<Fixed> {
-    // Degenerate case first (empty feasible tail, only possible when
-    // t < p): match the iterative convention of equal unit weights. The
-    // recursion in Figure 2 divides by an empty tail here, so the paper
-    // leaves this case undefined.
-    let adj = readjust(weights_desc, cpus);
-    if adj.clamped == weights_desc.len() && !weights_desc.is_empty() {
-        return vec![Fixed::ONE; weights_desc.len()];
-    }
-    let mut w: Vec<Ratio> = weights_desc
-        .iter()
-        .map(|&x| Ratio::int(x as i128))
-        .collect();
-    if cpus > 1 {
-        readjust_rec(&mut w, 0, cpus as i128);
-    }
-    w.into_iter().map(Ratio::to_fixed).collect()
-}
-
-fn readjust_rec(w: &mut [Ratio], i: usize, p: i128) {
-    if i >= w.len() || p <= 1 {
-        return;
-    }
-    let total = w[i..].iter().fold(Ratio::int(0), |acc, &x| acc.add(x));
-    if w[i].exceeds_share(total, p) {
-        readjust_rec(w, i + 1, p - 1);
-        let sum = w[i + 1..].iter().fold(Ratio::int(0), |acc, &x| acc.add(x));
-        w[i] = if sum.num == 0 {
-            // Degenerate tail (t < p): match the iterative convention.
-            Ratio::int(1)
-        } else {
-            sum.div_int(p - 1)
-        };
-    }
+    (phis, tail.clamped)
 }
 
 /// Applies a [`Readjustment`] to a descending weight slice, producing the
@@ -334,7 +228,125 @@ pub fn apply(weights_desc: &[u64], adj: &Readjustment) -> Vec<Fixed> {
 }
 
 #[cfg(test)]
+/// The Figure-2 recursion in exact rational arithmetic, and the Eq. 1
+/// check on fixed-point weights: what the walk is tested against.
+pub(crate) mod oracle {
+    use super::readjust;
+    use crate::fixed::Fixed;
+
+    /// Checks feasibility of fixed-point instantaneous weights.
+    pub(crate) fn is_feasible_fixed(phis: &[Fixed], cpus: u32) -> bool {
+        let total: i128 = phis.iter().map(|f| f.raw()).sum();
+        phis.iter().all(|f| f.raw() * cpus as i128 <= total)
+    }
+
+    /// Exact rational number used by the reference implementation.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Ratio {
+        num: i128,
+        den: i128,
+    }
+
+    impl Ratio {
+        fn int(v: i128) -> Ratio {
+            Ratio { num: v, den: 1 }
+        }
+
+        fn new(num: i128, den: i128) -> Ratio {
+            assert!(den != 0);
+            let g = gcd(num.unsigned_abs(), den.unsigned_abs()) as i128;
+            let sign = if den < 0 { -1 } else { 1 };
+            Ratio {
+                num: sign * num / g.max(1),
+                den: sign * den / g.max(1),
+            }
+        }
+
+        fn add(self, o: Ratio) -> Ratio {
+            Ratio::new(self.num * o.den + o.num * self.den, self.den * o.den)
+        }
+
+        fn div_int(self, k: i128) -> Ratio {
+            Ratio::new(self.num, self.den * k)
+        }
+
+        /// `self / total > 1 / p`  ⇔  `self · p > total`.
+        fn exceeds_share(self, total: Ratio, p: i128) -> bool {
+            // self·p > total  ⇔  num·p·total.den > total.num·den
+            self.num * p * total.den > total.num * self.den
+        }
+
+        fn to_fixed(self) -> Fixed {
+            Fixed::from_raw(self.num * crate::fixed::SCALE / self.den)
+        }
+    }
+
+    fn gcd(mut a: u128, mut b: u128) -> u128 {
+        while b != 0 {
+            let t = a % b;
+            a = b;
+            b = t;
+        }
+        if a == 0 {
+            1
+        } else {
+            a
+        }
+    }
+
+    /// Direct transliteration of Figure 2, with exact rational arithmetic.
+    ///
+    /// ```text
+    /// readjust(w[1..t], i, p):
+    ///     if w[i] / Σ_{j=i..t} w[j] > 1/p:
+    ///         readjust(w, i+1, p−1)
+    ///         sum = Σ_{j=i+1..t} w[j]
+    ///         w[i] = sum / (p−1)
+    /// ```
+    ///
+    /// Returns the full vector of instantaneous weights `φ_i` (fixed-point),
+    /// in the same (descending) order as the input. Used as the oracle for
+    /// [`readjust`].
+    pub(crate) fn readjust_reference(weights_desc: &[u64], cpus: u32) -> Vec<Fixed> {
+        // Degenerate case first (empty feasible tail, only possible when
+        // t < p): match the iterative convention of equal unit weights. The
+        // recursion in Figure 2 divides by an empty tail here, so the paper
+        // leaves this case undefined.
+        let adj = readjust(weights_desc, cpus);
+        if adj.clamped == weights_desc.len() && !weights_desc.is_empty() {
+            return vec![Fixed::ONE; weights_desc.len()];
+        }
+        let mut w: Vec<Ratio> = weights_desc
+            .iter()
+            .map(|&x| Ratio::int(x as i128))
+            .collect();
+        if cpus > 1 {
+            readjust_rec(&mut w, 0, cpus as i128);
+        }
+        w.into_iter().map(Ratio::to_fixed).collect()
+    }
+
+    fn readjust_rec(w: &mut [Ratio], i: usize, p: i128) {
+        if i >= w.len() || p <= 1 {
+            return;
+        }
+        let total = w[i..].iter().fold(Ratio::int(0), |acc, &x| acc.add(x));
+        if w[i].exceeds_share(total, p) {
+            readjust_rec(w, i + 1, p - 1);
+            let sum = w[i + 1..].iter().fold(Ratio::int(0), |acc, &x| acc.add(x));
+            w[i] = if sum.num == 0 {
+                // Degenerate tail (t < p): match the iterative convention.
+                Ratio::int(1)
+            } else {
+                sum.div_int(p - 1)
+            };
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::{is_feasible_fixed, readjust_reference};
     use super::*;
     use proptest::prelude::*;
 
@@ -428,51 +440,6 @@ mod tests {
         assert_eq!(phi[0].raw() * 3, 2 * total);
     }
 
-    proptest! {
-        /// With every capacity equal to 1, the capacity-generalized
-        /// walk IS §2.1: it must agree with [`readjust`] exactly.
-        #[test]
-        fn capped_with_unit_capacities_matches_flat(
-            mut weights in proptest::collection::vec(1u64..1_000, 1..12),
-            cpus in 1u32..6,
-        ) {
-            weights.sort_unstable_by(|a, b| b.cmp(a));
-            let entries: Vec<(u64, u32)> = weights.iter().map(|&w| (w, 1)).collect();
-            let (phi, clamps) = readjust_capped(&entries, cpus);
-            let adj = readjust(&weights, cpus);
-            prop_assert_eq!(clamps, adj.clamped);
-            prop_assert_eq!(phi, apply(&weights, &adj));
-        }
-
-        /// On a saturable machine (Σc ≥ p) the result satisfies the
-        /// generalized feasibility constraint φ_g·p ≤ c_g·Σφ (up to
-        /// fixed-point rounding); with less total capacity than
-        /// processors every entity just holds its capacity.
-        #[test]
-        fn capped_result_is_feasible(
-            entries in proptest::collection::vec((1u64..1_000, 1u32..5), 1..12),
-            cpus in 2u32..6,
-        ) {
-            let (phi, _) = readjust_capped(&entries, cpus);
-            let cap_total: u64 = entries.iter().map(|&(_, c)| u64::from(c)).sum();
-            if cap_total < u64::from(cpus) {
-                for (k, &(_, c)) in entries.iter().enumerate() {
-                    prop_assert_eq!(phi[k], Fixed::from_int(c as i64));
-                }
-                return Ok(());
-            }
-            let total: i128 = phi.iter().map(|f| f.raw()).sum();
-            for (k, &(_, c)) in entries.iter().enumerate() {
-                prop_assert!(
-                    phi[k].raw() * i128::from(cpus)
-                        <= i128::from(c) * total + i128::from(cpus),
-                    "entity {} over capacity: phi={} c={} total={}",
-                    k, phi[k], c, total
-                );
-            }
-        }
-    }
-
     #[test]
     fn cascade_of_infeasible_threads() {
         // Four CPUs, weights 100:10:1:1. 100·4 > 112 (infeasible);
@@ -535,6 +502,27 @@ mod tests {
                 "weights {w:?} on {p} cpus"
             );
         }
+    }
+
+    #[test]
+    fn cap_past_i64_is_exact() {
+        // Three CPUs: the heaviest thread is infeasible and the feasible
+        // tail sums to 3·2⁶² > i64::MAX. The cap is still the exact
+        // 3·2⁶²/2, from either caller.
+        let w = [i64::MAX as u64, 1 << 62, 1 << 62, 1 << 62];
+        let adj = readjust(&w, 3);
+        assert_eq!(adj.clamped, 1);
+        assert!(adj.cap.unwrap() > Fixed::ZERO, "{adj:?}");
+        assert_eq!(apply(&w, &adj), readjust_reference(&w, 3));
+        let (phi, clamps) = readjust_capped(&w.map(|w| (w, 1)), 3);
+        assert_eq!(clamps, 1);
+        assert_eq!(phi, apply(&w, &adj));
+        // Nine CPUs, two 2⁶² entities of capacity 4 and 6: the first
+        // clamps to 4·2⁶²/5, and 4·2⁶² alone is past i64::MAX.
+        let (phi, clamps) = readjust_capped(&[(1 << 62, 4), (1 << 62, 6)], 9);
+        assert_eq!(clamps, 1);
+        assert_eq!(phi[0].raw(), (1i128 << 62) * 4 * crate::fixed::SCALE / 5);
+        assert_eq!(phi[1], Fixed::from_int(1 << 62));
     }
 
     #[test]
@@ -611,12 +599,23 @@ mod tests {
             }
         }
 
+        /// The production walk against the Figure-2 recursion, over the
+        /// input family `tests/readjust_differential.rs` pins the three
+        /// callers on: tie runs, `t < p`, `p = 1`, entries near 2⁶².
         #[test]
         fn iterative_matches_recursive_reference(
-            mut w in proptest::collection::vec(1u64..100_000, 1..24),
-            p in 2u32..9,
+            mut w in proptest::collection::vec(
+                prop_oneof![1u64..8, 1u64..1_000_000, ((1u64 << 62) - 1_000)..((1u64 << 62) + 1)],
+                1..24,
+            ),
+            p in 1u32..17,
         ) {
             w.sort_unstable_by(|a, b| b.cmp(a));
+            // At most two entries near 2⁶², so every feasible-tail sum
+            // stays below 2⁶³; `cap_past_i64_is_exact` covers the rest.
+            for x in w.iter_mut().skip(2) {
+                *x = (*x).min(1_000_000);
+            }
             prop_assert_eq!(phis(&w, p), readjust_reference(&w, p));
         }
 

@@ -94,12 +94,6 @@ pub struct SfsConfig {
     /// backwards weight queue instead of scanning every bucket head.
     /// `None`: exact algorithm.
     pub heuristic: Option<usize>,
-    /// Historical §3.2 knob: how often the resort-based implementation
-    /// forced a full surplus re-sort in heuristic mode. The bucket queue
-    /// keeps surplus order exact at all times, so no periodic re-sort
-    /// exists any more; the knob is retained so existing policy specs
-    /// round-trip unchanged.
-    pub refresh_every: u64,
     /// When the virtual time exceeds this value, subtract the minimum
     /// start tag from every tag and reset the virtual time (§3.2
     /// wrap-around handling).
@@ -130,7 +124,6 @@ impl Default for SfsConfig {
         SfsConfig {
             quantum: Duration::from_millis(200),
             heuristic: None,
-            refresh_every: 20,
             renorm_threshold: Fixed::from_int(100_000_000_000_000),
             wake_preemption: true,
             preempt_margin: Duration::from_micros(100),
@@ -1033,13 +1026,12 @@ mod tests {
 
     #[test]
     fn heuristic_audit_records_hits() {
-        let mut cfg = SfsConfig {
+        let cfg = SfsConfig {
             heuristic: Some(20),
             audit_heuristic: true,
             quantum: Duration::from_millis(1),
             ..SfsConfig::default()
         };
-        cfg.refresh_every = 50;
         let mut sim = MiniSim::new(Sfs::with_config(2, cfg));
         for i in 0..40 {
             sim.spawn(i, 1 + i % 5);

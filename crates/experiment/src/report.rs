@@ -145,19 +145,6 @@ impl RunReport {
             .fold(Duration::ZERO, |acc, t| acc + t.service)
     }
 
-    /// Sum of services over tasks whose name starts with `prefix`.
-    #[deprecated(
-        since = "0.6.0",
-        note = "prefix matching is ambiguous; use `tenant_service`/`tenant_shares` \
-                keyed by `TenantId`"
-    )]
-    pub fn group_service(&self, prefix: &str) -> Duration {
-        self.tasks
-            .iter()
-            .filter(|t| t.name.starts_with(prefix))
-            .fold(Duration::ZERO, |acc, t| acc + t.service)
-    }
-
     /// Sum of services over tasks bound to tenant `t`.
     pub fn tenant_service(&self, t: TenantId) -> Duration {
         self.tasks
@@ -426,16 +413,13 @@ mod tests {
         assert!((f.jain - 1.0).abs() < 1e-9, "{f:?}");
         assert!(f.max_share_error < 1e-9, "{f:?}");
         assert_eq!(rep.shares()[0], 2.0 / 3.0);
-        #[allow(deprecated)]
-        let by_prefix = rep.group_service("a");
-        assert_eq!(by_prefix, Duration::from_millis(600));
+        assert_eq!(rep.task("a").unwrap().service, Duration::from_millis(600));
     }
 
     #[test]
-    fn tenant_accessors_match_the_deprecated_prefix_shim() {
-        // When tenant members share a name prefix (the scenario
-        // replication convention), the deprecated prefix accessor and
-        // the tenant-keyed one must agree exactly.
+    fn tenant_accessors_sum_member_tasks() {
+        // A tenant's service is the sum over its member tasks, however
+        // they are named; tenant-less tasks belong to no tenant.
         let mut a1 = outcome("batch#1", 1, 300);
         a1.tenant = Some(TenantId(0));
         let mut a2 = outcome("batch#2", 1, 150);
@@ -445,9 +429,9 @@ mod tests {
         let free = outcome("stray", 1, 100);
         let rep = report(vec![a1, a2, b, free]);
 
-        #[allow(deprecated)]
-        let by_prefix = rep.group_service("batch#");
-        assert_eq!(rep.tenant_service(TenantId(0)), by_prefix);
+        let members = rep.task("batch#1").unwrap().service + rep.task("batch#2").unwrap().service;
+        assert_eq!(members, Duration::from_millis(450));
+        assert_eq!(rep.tenant_service(TenantId(0)), members);
         assert_eq!(rep.tenant_service(TenantId(1)), Duration::from_millis(450));
         assert_eq!(rep.tenant_service(TenantId(9)), Duration::ZERO);
 

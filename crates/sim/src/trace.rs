@@ -440,14 +440,6 @@ impl SimReport {
         self.tasks.iter().find(|t| t.name == name)
     }
 
-    /// Sum of services over tasks whose name starts with `prefix`.
-    pub fn group_service(&self, prefix: &str) -> Duration {
-        self.tasks
-            .iter()
-            .filter(|t| t.name.starts_with(prefix))
-            .fold(Duration::ZERO, |acc, t| acc + t.service)
-    }
-
     /// Sum of services over tasks bound to tenant `t`.
     pub fn tenant_service(&self, t: TenantId) -> Duration {
         self.tasks
@@ -548,12 +540,13 @@ mod tests {
         tr.add_service(TaskId(2), Duration::from_millis(20));
         tr.add_service(TaskId(3), Duration::from_millis(30));
         let rep = tr.into_report("x", 1, Duration::from_secs(1), SchedStats::default(), 0, 0);
-        assert_eq!(rep.group_service("a#"), Duration::from_millis(30));
+        let members = rep.task("a#1").unwrap().service + rep.task("a#2").unwrap().service;
+        assert_eq!(members, Duration::from_millis(30));
         assert_eq!(rep.total_service(), Duration::from_millis(60));
         let shares = rep.shares();
         assert!((shares[2] - 0.5).abs() < 1e-9);
-        // Tenant-keyed accessors agree with the prefix view here.
-        assert_eq!(rep.tenant_service(TenantId(0)), Duration::from_millis(30));
+        // The tenant-keyed accessor sums exactly the member tasks.
+        assert_eq!(rep.tenant_service(TenantId(0)), members);
         assert_eq!(rep.tenant_service(TenantId(1)), Duration::from_millis(30));
         let ts = rep.tenant_shares();
         assert_eq!(ts.len(), 2);

@@ -28,9 +28,6 @@ fn build_spec(kind_idx: usize, quantum_us: u64, knob: u64, bits: u64) -> PolicyS
             if bits & 2 != 0 {
                 spec = spec.with_heuristic(1 + (knob as usize % 100));
             }
-            if bits & 4 != 0 {
-                spec = spec.with_refresh_every(1 + knob % 1000);
-            }
             if bits & 8 != 0 {
                 spec = spec.with_affinity_margin(quantum * 2);
             }
