@@ -262,6 +262,6 @@ mod tests {
             res.summary
         );
         let json = res.summary_json();
-        assert!(json.contains("\"id\": \"chaos\""), "{json}");
+        assert!(json.contains(r#""id":"chaos""#), "{json}");
     }
 }

@@ -332,6 +332,6 @@ mod tests {
             );
         }
         let json = res.summary_json();
-        assert!(json.contains("\"id\": \"churn\""), "{json}");
+        assert!(json.contains(r#""id":"churn""#), "{json}");
     }
 }

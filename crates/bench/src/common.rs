@@ -7,6 +7,7 @@ use std::path::{Path, PathBuf};
 use sfs_core::policy::PolicySpec;
 use sfs_core::sched::Scheduler;
 use sfs_core::time::Duration;
+use sfs_trace::json::{obj, Json};
 
 /// How much work to spend on an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,21 +94,17 @@ impl ExpResult {
     /// experiment id, title and every recorded finding, so successive
     /// runs can be diffed and perf trajectories tracked by tooling.
     pub fn summary_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"id\": \"{}\",", json_escape(&self.id));
-        let _ = writeln!(out, "  \"title\": \"{}\",", json_escape(&self.title));
-        out.push_str("  \"summary\": {");
-        for (i, (k, v)) in self.summary.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": \"{}\"", json_escape(k), json_escape(v));
-        }
-        if !self.summary.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+        let summary = self
+            .summary
+            .iter()
+            .map(|(k, v)| (k.as_str(), Json::Str(v.clone())))
+            .collect();
+        let doc = obj(vec![
+            ("id", Json::Str(self.id.clone())),
+            ("title", Json::Str(self.title.clone())),
+            ("summary", obj(summary)),
+        ]);
+        format!("{doc}\n")
     }
 
     /// Writes the report, CSVs and the `BENCH_<id>.json` machine-readable
@@ -142,25 +139,6 @@ impl ExpResult {
         }
         Ok(written)
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The policy spec for one of the experiments' named configurations,
@@ -247,7 +225,7 @@ mod tests {
         assert!(txt.contains("x: 1"));
         let json = fs::read_to_string(&files[1]).unwrap();
         assert!(files[1].ends_with("BENCH_t1.json"), "{:?}", files[1]);
-        assert!(json.contains("\"x\": \"1\""), "{json}");
+        assert!(json.contains(r#""x":"1""#), "{json}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -255,8 +233,15 @@ mod tests {
     fn json_escaping_is_sound() {
         let mut r = ExpResult::new("q\"uote", "line\nbreak\ttab\\slash");
         r.finding("k", "v".into());
-        let json = r.summary_json();
-        assert!(json.contains(r#""q\"uote""#));
-        assert!(json.contains(r"line\nbreak\ttab\\slash"));
+        let doc = Json::parse(&r.summary_json()).unwrap();
+        assert_eq!(doc.get("id").unwrap().as_str(), Some("q\"uote"));
+        assert_eq!(
+            doc.get("title").unwrap().as_str(),
+            Some("line\nbreak\ttab\\slash")
+        );
+        assert_eq!(
+            doc.get("summary").unwrap().get("k").unwrap().as_str(),
+            Some("v")
+        );
     }
 }

@@ -219,7 +219,7 @@ mod tests {
         res.finding("ns_per_event_at_1000", format!("{:.1}", p.ns_per_event));
         res.finding("events_at_1000", format!("{}", p.events));
         let json = res.summary_json();
-        assert!(json.contains("\"id\": \"mega\""), "{json}");
+        assert!(json.contains(r#""id":"mega""#), "{json}");
         assert!(json.contains("ns_per_event_at_1000"), "{json}");
     }
 }

@@ -194,6 +194,6 @@ mod tests {
             "exact mode re-sorted: {resorts:?}"
         );
         let json = res.summary_json();
-        assert!(json.contains("\"id\": \"overhead\""), "{json}");
+        assert!(json.contains(r#""id":"overhead""#), "{json}");
     }
 }

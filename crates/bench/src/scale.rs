@@ -300,7 +300,7 @@ mod tests {
             );
         }
         let json = res.summary_json();
-        assert!(json.contains("\"id\": \"scale\""), "{json}");
+        assert!(json.contains(r#""id":"scale""#), "{json}");
     }
 
     #[test]

@@ -277,6 +277,6 @@ mod tests {
             );
         }
         let json = res.summary_json();
-        assert!(json.contains("\"id\": \"tenants\""), "{json}");
+        assert!(json.contains(r#""id":"tenants""#), "{json}");
     }
 }

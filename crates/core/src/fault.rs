@@ -27,7 +27,7 @@
 use core::fmt;
 use std::str::FromStr;
 
-use crate::time::{Duration, Time};
+use crate::time::{Duration, Literal, Time};
 
 /// What goes wrong.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -195,38 +195,9 @@ impl SplitMix64 {
     }
 }
 
-/// Formats a duration in the largest unit that divides it exactly, so
-/// the plan's `Display` round-trips bit-for-bit.
-fn fmt_dur(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns == 0 {
-        "0ns".into()
-    } else if ns.is_multiple_of(1_000_000_000) {
-        format!("{}s", ns / 1_000_000_000)
-    } else if ns.is_multiple_of(1_000_000) {
-        format!("{}ms", ns / 1_000_000)
-    } else if ns.is_multiple_of(1_000) {
-        format!("{}us", ns / 1_000)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
 fn parse_dur(s: &str) -> Result<Duration, ParseFaultError> {
-    let err = || ParseFaultError(format!("bad duration {s:?} (want e.g. 20ms, 1s, 500us)"));
-    let (digits, mul) = if let Some(d) = s.strip_suffix("ns") {
-        (d, 1)
-    } else if let Some(d) = s.strip_suffix("us") {
-        (d, 1_000)
-    } else if let Some(d) = s.strip_suffix("ms") {
-        (d, 1_000_000)
-    } else if let Some(d) = s.strip_suffix('s') {
-        (d, 1_000_000_000)
-    } else {
-        return Err(err());
-    };
-    let n: u64 = digits.parse().map_err(|_| err())?;
-    n.checked_mul(mul).map(Duration).ok_or_else(err)
+    Duration::parse_literal(s)
+        .ok_or_else(|| ParseFaultError(format!("bad duration {s:?} (want e.g. 20ms, 1s, 500us)")))
 }
 
 /// Error from parsing a [`FaultPlan`]'s textual form.
@@ -251,15 +222,15 @@ impl fmt::Display for FaultPlan {
                 f,
                 ";{}@{}",
                 ev.kind.tag(),
-                fmt_dur(Duration(ev.at.as_nanos()))
+                Literal(Duration(ev.at.as_nanos()))
             )?;
             match ev.kind {
                 FaultKind::Panic { task } => write!(f, ",task={task}")?,
                 FaultKind::Stall { cpu, dur } | FaultKind::Jitter { cpu, dur } => {
-                    write!(f, ",cpu={cpu},dur={}", fmt_dur(dur))?;
+                    write!(f, ",cpu={cpu},dur={}", Literal(dur))?;
                 }
                 FaultKind::WakeDrop { task, dur } => {
-                    write!(f, ",task={task},dur={}", fmt_dur(dur))?;
+                    write!(f, ",task={task},dur={}", Literal(dur))?;
                 }
             }
         }
@@ -380,6 +351,10 @@ mod tests {
              jitter@2s,cpu=1,dur=1500us;wakedrop@1000000007ns,task=7,dur=50ms"
         );
         assert_eq!(text.parse::<FaultPlan>().unwrap(), plan);
+        // Zero reads back from either spelling and prints as `0s`.
+        let zero: FaultPlan = "seed=1;stall@0ns,cpu=0,dur=0s".parse().unwrap();
+        assert_eq!(zero.to_string(), "seed=1;stall@0s,cpu=0,dur=0s");
+        assert_eq!(zero.to_string().parse::<FaultPlan>().unwrap(), zero);
     }
 
     #[test]
@@ -424,6 +399,8 @@ mod tests {
             "seed=1;frob@1ms,task=0",   // unknown kind
             "seed=1;panic@xyz,task=0",  // bad time
             "seed=1;panic@1ms,task=0,zap=1",
+            "seed=1;stall@1ms,cpu=0,dur=18446744073709551616ns", // past u64
+            "seed=1;panic@18446744073709551615us,task=0",        // past u64 once scaled
         ] {
             assert!(s.parse::<FaultPlan>().is_err(), "{s:?}");
         }

@@ -39,7 +39,7 @@ use crate::shard::{ShardedScheduler, SnapshotCell};
 use crate::stride::Stride;
 use crate::tagq::TagConfig;
 use crate::task::TenantId;
-use crate::time::Duration;
+use crate::time::{Duration, Literal};
 use crate::timeshare::{TimeSharing, TimeSharingConfig};
 use crate::wfq::Wfq;
 
@@ -670,7 +670,7 @@ impl fmt::Display for PolicySpec {
             Ok(())
         };
         if let Some(q) = self.quantum {
-            emit(f, format_args!("quantum={}", FmtDuration(q)))?;
+            emit(f, format_args!("quantum={}", Literal(q)))?;
         }
         if let Some(t) = self.ticks {
             emit(f, format_args!("ticks={t}"))?;
@@ -679,7 +679,7 @@ impl fmt::Display for PolicySpec {
             emit(f, format_args!("heuristic={k}"))?;
         }
         if let Some(m) = self.affinity_margin {
-            emit(f, format_args!("affinity={}", FmtDuration(m)))?;
+            emit(f, format_args!("affinity={}", Literal(m)))?;
         }
         if !self.groups.is_empty() {
             let inner = self
@@ -697,7 +697,7 @@ impl fmt::Display for PolicySpec {
             emit(f, format_args!("shards={n}"))?;
         }
         if let Some(r) = self.rebalance {
-            emit(f, format_args!("rebalance={}", FmtDuration(r)))?;
+            emit(f, format_args!("rebalance={}", Literal(r)))?;
         }
         if self.readjust {
             emit(f, format_args!("readjust"))?;
@@ -997,45 +997,10 @@ fn parse_num<T: FromStr>(v: &str, key: &str) -> Result<T, ParsePolicyError> {
         .map_err(|_| ParsePolicyError::new(format!("bad {key} value {v:?}")))
 }
 
-/// Parses a duration literal: an unsigned integer followed by `ns`,
-/// `us`, `ms` or `s` (e.g. `5ms`, `300us`, `2s`).
 fn parse_duration(v: &str) -> Result<Duration, ParsePolicyError> {
-    let bad = || ParsePolicyError::new(format!("bad duration {v:?} (want e.g. `5ms`, `300us`)"));
-    let split = v
-        .find(|c: char| !c.is_ascii_digit())
-        .filter(|&i| i > 0)
-        .ok_or_else(bad)?;
-    let (digits, unit) = v.split_at(split);
-    let n: u64 = digits.parse().map_err(|_| bad())?;
-    let scale = match unit {
-        "ns" => 1,
-        "us" => 1_000,
-        "ms" => 1_000_000,
-        "s" => 1_000_000_000,
-        _ => return Err(bad()),
-    };
-    n.checked_mul(scale)
-        .map(Duration::from_nanos)
-        .ok_or_else(bad)
-}
-
-/// Renders a duration with the largest unit that divides it exactly,
-/// so `parse_duration ∘ to_string` round-trips.
-struct FmtDuration(Duration);
-
-impl fmt::Display for FmtDuration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ns = self.0.as_nanos();
-        if ns == 0 || ns.is_multiple_of(1_000_000_000) {
-            write!(f, "{}s", ns / 1_000_000_000)
-        } else if ns.is_multiple_of(1_000_000) {
-            write!(f, "{}ms", ns / 1_000_000)
-        } else if ns.is_multiple_of(1_000) {
-            write!(f, "{}us", ns / 1_000)
-        } else {
-            write!(f, "{ns}ns")
-        }
-    }
+    Duration::parse_literal(v).ok_or_else(|| {
+        ParsePolicyError::new(format!("bad duration {v:?} (want e.g. `5ms`, `300us`)"))
+    })
 }
 
 #[cfg(test)]
@@ -1076,6 +1041,11 @@ mod tests {
         for spec in specs {
             let s = spec.to_string();
             assert_eq!(s.parse::<PolicySpec>().unwrap(), spec, "{s}");
+        }
+        // Zero reads back from either spelling and prints as `0s`.
+        for zero in ["sfs:affinity=0ns", "sfs:affinity=0s"] {
+            let spec: PolicySpec = zero.parse().unwrap();
+            assert_eq!(spec.to_string(), "sfs:affinity=0s");
         }
     }
 
@@ -1132,6 +1102,11 @@ mod tests {
         ] {
             assert!(bad.parse::<PolicySpec>().is_err(), "{bad:?} parsed");
         }
+        // A literal past `u64` nanoseconds is a typed error, not a panic.
+        let err = "sfs:quantum=18446744073709551616ns"
+            .parse::<PolicySpec>()
+            .unwrap_err();
+        assert!(err.to_string().contains("bad duration"), "{err}");
         let err = "sfs:refresh=5".parse::<PolicySpec>().unwrap_err();
         assert!(
             err.to_string().contains("unknown option \"refresh\""),

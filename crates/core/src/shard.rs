@@ -55,11 +55,11 @@
 //! least-loaded shard at the moment the tenant's *first* task arrives
 //! — and every later arrival, wakeup and rebalance decision keeps the
 //! tenant's tasks there: wakers with a tenant never migrate, and
-//! [`Balancer::plan_move`] refuses candidates that belong to a tenant
-//! (hierarchical shards nominate no steal candidates in the first
-//! place). A tenant moves between shards only as a whole group, which
-//! happens naturally when its last task exits and the next one
-//! re-anchors it.
+//! [`Balancer::plan_move`] and [`Balancer::plan_steal`] refuse
+//! candidates that belong to a tenant (hierarchical shards nominate no
+//! steal candidates in the first place). A tenant moves between shards
+//! only as a whole group, which happens naturally when its last task
+//! exits and the next one re-anchors it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -535,10 +535,40 @@ impl Balancer {
         }
         let id = candidate(from)?;
         // Never split a tenant: its group is whole on its home shard.
-        if self.tasks.get(&id).is_some_and(|t| t.tenant.is_some()) {
+        if self.tenant_of(id).is_some() {
             return None;
         }
         self.steal_gain(id, to).then_some((id, from, to))
+    }
+
+    /// Decides one steal-on-idle for shard `to`, which has an idle
+    /// processor and no ready task; shared by both substrates like
+    /// [`Balancer::plan_move`]. Donors are probed from the most loaded
+    /// down (ties to the lowest index), one at a time, so a
+    /// lock-splitting caller holds one donor's lock at a time.
+    /// `probe(s)` nominates donor `s`'s highest-surplus ready task, or
+    /// `None` when `s` cannot spare one (never drain a shard below its
+    /// own CPU count). Returns the first `(task, from)` whose nominee
+    /// belongs to no tenant (stealing one member would split the
+    /// group).
+    pub fn plan_steal(
+        &self,
+        to: usize,
+        mut probe: impl FnMut(usize) -> Option<TaskId>,
+    ) -> Option<(TaskId, usize)> {
+        let key = |s: usize| (self.load(s), std::cmp::Reverse(s));
+        // Key of the donor probed last; keys are distinct, so "the
+        // largest key below it" walks the donors in order, unallocated.
+        let mut probed = None;
+        loop {
+            let from = (0..self.shard_phi.len())
+                .filter(|&s| s != to && probed.is_none_or(|p| key(s) < p))
+                .max_by_key(|&s| key(s))?;
+            probed = Some(key(from));
+            if let Some(id) = probe(from).filter(|&id| self.tenant_of(id).is_none()) {
+                return Some((id, from));
+            }
+        }
     }
 
     /// Total tasks tracked (runnable + blocked).
@@ -715,16 +745,13 @@ impl ShardedScheduler {
     }
 
     /// Steal-on-idle: called when shard `s` has no ready task. Takes
-    /// the highest-surplus ready task from the most loaded shard that
-    /// has more runnable tasks than processors.
+    /// the highest-surplus ready task [`Balancer::plan_steal`] approves.
     fn steal_for(&mut self, s: usize, now: Time) -> bool {
-        let donor = (0..self.shards.len())
-            .filter(|&o| {
-                o != s && self.shards[o].nr_runnable() > self.layout.shard_cpus(o) as usize
-            })
-            .max_by_key(|&o| (self.bal.load(o), std::cmp::Reverse(o)));
-        let Some(donor) = donor else { return false };
-        let Some(id) = self.shards[donor].steal_candidate() else {
+        let (shards, layout) = (&self.shards, &self.layout);
+        let Some((id, donor)) = self.bal.plan_steal(s, |o| {
+            let spare = shards[o].nr_runnable() > layout.shard_cpus(o) as usize;
+            spare.then(|| shards[o].steal_candidate()).flatten()
+        }) else {
             return false;
         };
         self.migrate_ready(id, donor, s, now);
@@ -1185,6 +1212,9 @@ mod tests {
         assert_eq!(b.wake(TaskId(1)), (0, 0), "tenant task stays home");
         // A tenant candidate is refused by the rebalance planner.
         assert_eq!(b.plan_move(|_| true, |_| Some(TaskId(2))), None);
+        // ...and by the steal planner, which takes the free task.
+        assert_eq!(b.plan_steal(1, |_| Some(TaskId(2))), None);
+        assert_eq!(b.plan_steal(0, |_| Some(TaskId(9))), Some((TaskId(9), 1)));
         b.check_invariants();
         // The anchor drops with the last task and re-places on the
         // (now heavier-0) machine: the next arrival anchors on shard 1.
@@ -1194,6 +1224,30 @@ mod tests {
         assert_eq!(b.tenant_shard(ta), None);
         assert_eq!(b.attach_tenant(TaskId(4), weight(1), Some(ta)), 0);
         b.check_invariants();
+    }
+
+    #[test]
+    fn plan_steal_probes_donors_from_the_most_loaded_down() {
+        let layout = ShardLayout::new(4, 4);
+        let mut b = Balancer::new(&layout, Arc::new(SnapshotCell::new()));
+        // Equal weights fill the shards round-robin: 11 tasks leave
+        // loads (3, 3, 3, 2); blocking T1 makes them (2, 3, 3, 2).
+        for id in 1..=11u64 {
+            b.attach(TaskId(id), weight(1));
+        }
+        b.block(TaskId(1));
+        let mut order = Vec::new();
+        let plan = b.plan_steal(3, |s| {
+            order.push(s);
+            None
+        });
+        assert_eq!(plan, None);
+        assert_eq!(order, [1, 2, 0], "descending load, ties to the low index");
+        // The search ends at the first approved nominee.
+        assert_eq!(
+            b.plan_steal(3, |s| (s == 2).then_some(TaskId(3))),
+            Some((TaskId(3), 2))
+        );
     }
 
     #[test]
@@ -1239,6 +1293,23 @@ mod tests {
         for i in 4..8u64 {
             assert_eq!(s.bal.shard_of(TaskId(i)), Some(home_b), "tenant b split");
         }
+    }
+
+    #[test]
+    fn steal_on_idle_never_splits_a_tenant() {
+        // Flat SFS shards nominate steal candidates without knowing
+        // about tenants; the balancer anchored all three tasks to one
+        // shard, so the other shard's idle CPU must stay idle.
+        let spec: PolicySpec = "sfs:quantum=1ms".parse().unwrap();
+        let mut s = ShardedScheduler::build(&spec, 2, 2, None);
+        let now = Time::ZERO;
+        for i in 0..3u64 {
+            s.attach_tenant(TaskId(i), weight(1), Some(TenantId(0)), now);
+        }
+        assert!(s.pick_next(CpuId(0), now).is_some());
+        assert_eq!(s.pick_next(CpuId(1), now), None, "stole a tenant member");
+        assert_eq!(s.stats().shard_steals, 0);
+        s.check_invariants();
     }
 
     #[test]

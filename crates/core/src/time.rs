@@ -248,6 +248,44 @@ impl fmt::Display for Duration {
     }
 }
 
+/// The units of an exact duration literal, largest first.
+const UNITS: [(&str, u64); 4] = [
+    ("s", 1_000_000_000),
+    ("ms", 1_000_000),
+    ("us", 1_000),
+    ("ns", 1),
+];
+
+impl Duration {
+    /// Parses an exact duration literal — an unsigned integer followed
+    /// by `ns`, `us`, `ms` or `s` (`5ms`, `300us`, `2s`) — the one
+    /// grammar policy specs and fault plans share. `None` for anything
+    /// else, including a value past `u64` nanoseconds; each caller
+    /// attaches its own typed error.
+    pub(crate) fn parse_literal(v: &str) -> Option<Duration> {
+        let split = v.find(|c: char| !c.is_ascii_digit()).filter(|&i| i > 0)?;
+        let (digits, unit) = v.split_at(split);
+        let (_, scale) = UNITS.iter().find(|(u, _)| *u == unit)?;
+        let n: u64 = digits.parse().ok()?;
+        n.checked_mul(*scale).map(Duration)
+    }
+}
+
+/// Displays a duration as the literal [`Duration::parse_literal`] reads
+/// back exactly: the largest unit that divides it, zero as `0s`.
+pub(crate) struct Literal(pub Duration);
+
+impl fmt::Display for Literal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ns = self.0.as_nanos();
+        let (unit, scale) = UNITS
+            .iter()
+            .find(|(_, scale)| ns.is_multiple_of(*scale))
+            .expect("one nanosecond divides every duration");
+        write!(f, "{}{unit}", ns / scale)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,5 +344,38 @@ mod tests {
     fn std_interop() {
         let d = Duration::from_millis(123);
         assert_eq!(Duration::from_std(d.to_std()), d);
+    }
+
+    #[test]
+    fn literals_round_trip_exactly() {
+        for (text, ns) in [
+            ("0s", 0),
+            ("7ns", 7),
+            ("300us", 300_000),
+            ("5ms", 5_000_000),
+            ("2s", 2_000_000_000),
+            ("1500ms", 1_500_000_000),
+            ("18446744073709551615ns", u64::MAX),
+        ] {
+            assert_eq!(Duration::parse_literal(text), Some(Duration(ns)), "{text}");
+            assert_eq!(Literal(Duration(ns)).to_string(), text);
+        }
+        // Zero is accepted in any unit and printed one way.
+        assert_eq!(Duration::parse_literal("0ns"), Some(Duration::ZERO));
+        for bad in [
+            "",
+            "5",
+            "ms",
+            "+5ms",
+            "-5ms",
+            "5 ms",
+            "5m",
+            "1.5s",
+            "5msx",
+            "18446744073709551616ns", // past u64
+            "18446744073709551615us", // past u64 after scaling
+        ] {
+            assert_eq!(Duration::parse_literal(bad), None, "{bad:?}");
+        }
     }
 }

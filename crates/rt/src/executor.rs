@@ -382,56 +382,60 @@ impl Inner {
     /// CPU, pull the highest-surplus ready task from the most loaded
     /// shard that can spare one — the same cross-shard work
     /// conservation the sim substrate's `ShardedScheduler::pick_next`
-    /// has, without waiting for the next periodic rebalance tick.
+    /// has, without waiting for the next periodic rebalance tick. The
+    /// donor and the task are [`Balancer::plan_steal`]'s decision.
     fn steal_on_idle(&self, global: &mut Global, s: usize) {
         let Some(bal) = global.bal.as_mut() else {
             return;
         };
-        let mut donors: Vec<usize> = (0..self.shards.len()).filter(|&o| o != s).collect();
-        donors.sort_by_key(|&o| std::cmp::Reverse(bal.load(o)));
-        for o in donors {
-            let (mut f, mut t) = self.lock_two(o, s);
-            if t.cpus.iter().all(|c| c.current.is_some()) {
-                return; // the idle CPU was filled in the meantime
+        // The probed donor's lock and `s`'s, held from one probe until
+        // the next (or the move).
+        let mut held = None;
+        let mut filled = false;
+        let plan = bal.plan_steal(s, |o| {
+            held = None;
+            if filled {
+                return None; // the idle CPU was filled in the meantime
             }
+            let (f, t) = self.lock_two(o, s);
+            filled = t.cpus.iter().all(|c| c.current.is_some());
             // Never drain a shard below its own processor count.
-            if f.sched.nr_runnable() <= f.cpus.len() {
-                continue;
-            }
-            let Some(id) = f.sched.steal_candidate() else {
-                continue;
-            };
-            if bal.tenant_of(id).is_some() {
-                // Tenant groups place as units; stealing one member
-                // would split the group across shards.
-                continue;
-            }
-            bal.migrate(id, s);
-            self.move_task_locked(&mut f, s, &mut t, id);
-            drop(f);
-            if self.trace.on() {
-                self.trace.emit(TraceEvent::Migrate {
-                    t: self.now().as_nanos(),
-                    task: id,
-                    from_shard: o as u32,
-                    to_shard: s as u32,
-                    kind: MigrateKind::Steal,
-                });
-            }
-            self.dispatch(&mut t);
-            self.flag_wake_preemption(&t, id);
-            self.steals.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
+            let spare = !filled && f.sched.nr_runnable() > f.cpus.len();
+            let id = spare.then(|| f.sched.steal_candidate()).flatten();
+            held = Some((f, t));
+            id
+        });
+        let (Some((id, o)), Some((mut f, mut t))) = (plan, held) else {
             return;
+        };
+        bal.migrate(id, s);
+        self.move_task_locked(&mut f, s, &mut t, id);
+        drop(f);
+        if self.trace.on() {
+            self.trace.emit(TraceEvent::Migrate {
+                t: self.now().as_nanos(),
+                task: id,
+                from_shard: o as u32,
+                to_shard: s as u32,
+                kind: MigrateKind::Steal,
+            });
         }
+        self.dispatch(&mut t);
+        self.flag_wake_preemption(&t, id);
+        self.steals.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
     }
 
     /// Blocks the calling task: releases its CPU, records it blocked,
     /// and (when sharded) removes it from the global runnable set and
-    /// offers the freed CPU a stolen task. The caller parks on
-    /// `wait_granted` afterwards.
-    fn block_current(&self, task: &Arc<RtTask>) {
+    /// offers the freed CPU a stolen task — unless `cancel`, asked once
+    /// the locks are held, calls it off. Returns whether the task
+    /// blocked; if so the caller parks on `wait_granted` afterwards.
+    fn block_current(&self, task: &Arc<RtTask>, cancel: impl FnOnce() -> bool) -> bool {
         let mut global = self.sharded().then(|| self.global.lock());
         let (s, mut core) = self.lock_own_shard(task);
+        if cancel() {
+            return false;
+        }
         self.stop_running(&mut core, task.id, SwitchReason::Blocked);
         if let Some(bal) = global.as_mut().and_then(|g| g.bal.as_mut()) {
             bal.block(task.id);
@@ -444,6 +448,7 @@ impl Inner {
                 self.steal_on_idle(g, s);
             }
         }
+        true
     }
 
     /// Wakes a blocked task, letting the balancer place it (sticky to
@@ -451,37 +456,21 @@ impl Inner {
     /// if the task was not blocked.
     fn wake_blocked(&self, task: &Arc<RtTask>) -> bool {
         let now = self.now();
-        if !self.sharded() {
-            let mut core = self.shards[0].lock();
-            if core.blocked.remove(&task.id).is_none() {
-                return false;
-            }
-            core.sched.wake(task.id, now);
-            if self.trace.on() {
-                self.trace.emit(TraceEvent::Wake {
-                    t: now.as_nanos(),
-                    task: task.id,
-                });
-            }
-            self.dispatch(&mut core);
-            self.flag_wake_preemption(&core, task.id);
-            return true;
-        }
-        let mut global = self.global.lock();
+        let mut global = self.sharded().then(|| self.global.lock());
         // Blocked tasks never migrate, so the home index is stable
         // while we hold the global lock (all blocked-set transitions
-        // take it too).
+        // take it too); unsharded, there is one shard.
         let home = task.shard.load(Ordering::Acquire);
-        {
-            let core = self.shards[home].lock();
-            if !core.blocked.contains_key(&task.id) {
-                return false;
-            }
+        let mut core = self.shards[home].lock();
+        if !core.blocked.contains_key(&task.id) {
+            return false;
         }
-        // invariant: sharded() was true above, and sharded executors
-        // are always constructed with a balancer (from_parts).
-        let bal = global.bal.as_mut().expect("sharded executor has balancer");
-        let (_, target) = bal.wake(task.id);
+        let target = global.as_mut().map_or(home, |g| {
+            // invariant: sharded executors are always constructed with
+            // a balancer (from_parts).
+            let bal = g.bal.as_mut().expect("sharded executor has balancer");
+            bal.wake(task.id).1
+        });
         if self.trace.on() {
             self.trace.emit(TraceEvent::Wake {
                 t: now.as_nanos(),
@@ -498,7 +487,6 @@ impl Inner {
             }
         }
         if target == home {
-            let mut core = self.shards[home].lock();
             core.blocked.remove(&task.id);
             core.sched.wake(task.id, now);
             self.dispatch(&mut core);
@@ -508,6 +496,7 @@ impl Inner {
             // shard instead (fresh tags there, like any migration).
             // `Balancer::wake` already accounted the placement.
             self.wake_migrations.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
+            drop(core);
             let (mut from, mut to) = self.lock_two(home, target);
             from.blocked.remove(&task.id);
             self.move_task_locked(&mut from, target, &mut to, task.id);
@@ -674,32 +663,16 @@ impl TaskCtx {
             if token.swap(false, Ordering::AcqRel) {
                 return;
             }
-            {
-                let mut global = self.inner.sharded().then(|| self.inner.global.lock());
-                let (s, mut core) = self.inner.lock_own_shard(&self.task);
-                // Re-check under the locks: the producer sets the
-                // token before taking them on its wake path.
-                if token.swap(false, Ordering::AcqRel) {
-                    return;
-                }
-                // relaxed: stop is re-checked under the scheduler
-                // locks; worst case is one extra block/wake cycle.
-                if self.inner.stop_requested.load(Ordering::Relaxed) {
-                    return;
-                }
-                self.inner
-                    .stop_running(&mut core, self.task.id, SwitchReason::Blocked);
-                if let Some(bal) = global.as_mut().and_then(|g| g.bal.as_mut()) {
-                    bal.block(self.task.id);
-                }
-                self.inner.dispatch(&mut core);
-                let idle = core.cpus.iter().any(|c| c.current.is_none());
-                drop(core);
-                if idle {
-                    if let Some(g) = global.as_mut() {
-                        self.inner.steal_on_idle(g, s);
-                    }
-                }
+            // Re-check under the locks: the producer sets the token
+            // before taking them on its wake path.
+            let blocked = self.inner.block_current(&self.task, || {
+                token.swap(false, Ordering::AcqRel)
+                    // relaxed: stop is re-checked under the scheduler
+                    // locks; worst case is one extra block/wake cycle.
+                    || self.inner.stop_requested.load(Ordering::Relaxed)
+            });
+            if !blocked {
+                return;
             }
             self.task.wait_granted();
         }
@@ -718,7 +691,7 @@ impl TaskCtx {
     /// Blocks (releases the virtual CPU) for the given duration — the
     /// userspace analogue of sleeping on I/O.
     pub fn block_for(&self, d: Duration) {
-        self.inner.block_current(&self.task);
+        self.inner.block_current(&self.task, || false);
         thread::sleep(d.to_std());
         // `stop()` or `wake_task` may have woken us already; only
         // report the wakeup if we are still blocked.

@@ -3,16 +3,21 @@
 //! A seeded multi-CPU script (attach, pick, yield/preempt with variable
 //! `ran`, block, wake, reweight, detach, exit, periodic drains to an
 //! idle machine; BVT with warped tasks) runs through SFQ, WFQ, stride
-//! and BVT with readjustment off and on. Every pick is folded into a
-//! 64-bit digest together with the picked task's `adjusted_weight_of`
-//! and the policy's `virtual_time`, every `wake_preempts` verdict at a
-//! wakeup, and the final work counters.
+//! and BVT with readjustment off and on. Each configuration has two
+//! pins, asserted separately:
 //!
-//! The constants below were recorded from the four hand-written
-//! implementations that preceded the shared tag-queue core. They are
-//! the reference for that refactor and for every later change to it:
-//! a different digest means a different decision, tag or work counter.
-//! Do not regenerate them to make a change pass.
+//! * the **decision digest**: every pick folded into 64 bits together
+//!   with the picked task's `adjusted_weight_of` and the policy's
+//!   `virtual_time`, every `wake_preempts` verdict at a wakeup, and the
+//!   final `picks`, `events`, `readjust_calls` and `weights_clamped`.
+//!   The script and these observations are those recorded from the four
+//!   hand-written implementations that preceded the shared tag-queue
+//!   core. A different digest means a different decision or tag. Do not
+//!   regenerate one to make a change pass.
+//! * `event_steps`, summed over the seeds: the cost-model counter. It
+//!   moves whenever the run queue's structure or its step accounting
+//!   does and never changes what runs, so a change to either may
+//!   re-record it, and only it, saying so.
 
 use sfs_core::prelude::*;
 
@@ -66,9 +71,15 @@ const QUANTUM: Duration = Duration::from_millis(10);
 const WEIGHTS: [u64; 8] = [1, 1, 2, 3, 5, 8, 40, 200];
 const STEPS: usize = 6000;
 
-/// Drives one seeded script through `s`, folding every observation
-/// into `d`. `on_attach` runs after each `attach` (BVT grants warps).
-fn drive<S: Scheduler>(s: &mut S, seed: u64, d: &mut Digest, on_attach: &dyn Fn(&mut S, TaskId)) {
+/// Drives one seeded script through `s`, folding every decision into
+/// `d`, and returns the run's `event_steps`. `on_attach` runs after each
+/// `attach` (BVT grants warps).
+fn drive<S: Scheduler>(
+    s: &mut S,
+    seed: u64,
+    d: &mut Digest,
+    on_attach: &dyn Fn(&mut S, TaskId),
+) -> u64 {
     let mut rng = Rng(seed | 1);
     let mut now = Time::ZERO;
     let mut next_id = 0u64;
@@ -194,25 +205,22 @@ fn drive<S: Scheduler>(s: &mut S, seed: u64, d: &mut Digest, on_attach: &dyn Fn(
     }
 
     let st = s.stats();
-    for w in [
-        st.picks,
-        st.events,
-        st.event_steps,
-        st.readjust_calls,
-        st.weights_clamped,
-    ] {
+    for w in [st.picks, st.events, st.readjust_calls, st.weights_clamped] {
         d.word(w);
     }
+    st.event_steps
 }
 
-/// Three seeds per configuration, folded into one digest.
-fn digest<S: Scheduler>(make: impl Fn() -> S, on_attach: &dyn Fn(&mut S, TaskId)) -> u64 {
+/// Three seeds per configuration: the decisions folded into one digest,
+/// the `event_steps` summed.
+fn digest<S: Scheduler>(make: impl Fn() -> S, on_attach: &dyn Fn(&mut S, TaskId)) -> (u64, u64) {
     let mut d = Digest::new();
+    let mut steps = 0;
     for seed in [0x5f5_2000, 0x0dd_ba11, 0xc0ff_ee00] {
         let mut s = make();
-        drive(&mut s, seed, &mut d, on_attach);
+        steps += drive(&mut s, seed, &mut d, on_attach);
     }
-    d.0
+    (d.0, steps)
 }
 
 fn no_warp<S>(_: &mut S, _: TaskId) {}
@@ -247,26 +255,68 @@ fn bvt(readjust: bool) -> Bvt {
     Bvt::with_config(CPUS as u32, cfg(readjust))
 }
 
+/// Asserts one configuration against its two pins: the decision
+/// digest, then the `event_steps` total.
+fn pin((got_digest, got_steps): (u64, u64), decisions: u64, event_steps: u64) {
+    assert_eq!(
+        got_digest, decisions,
+        "a decision, tag or verdict changed: {got_digest:#018x}"
+    );
+    assert_eq!(got_steps, event_steps, "only the step counter moved");
+}
+
 #[test]
 fn sfq_digest() {
-    assert_eq!(digest(|| sfq(false), &no_warp), 0x695c_c4bb_2adb_fbd3);
-    assert_eq!(digest(|| sfq(true), &no_warp), 0x03b0_3044_2ac3_50fb);
+    pin(
+        digest(|| sfq(false), &no_warp),
+        0xb37f_9152_7b0c_714e,
+        79_771,
+    );
+    pin(
+        digest(|| sfq(true), &no_warp),
+        0x9c97_7f0b_4055_ba62,
+        107_510,
+    );
 }
 
 #[test]
 fn wfq_digest() {
-    assert_eq!(digest(|| wfq(false), &no_warp), 0xb66d_6a83_336a_2e92);
-    assert_eq!(digest(|| wfq(true), &no_warp), 0xa659_de8d_26a8_23d4);
+    pin(
+        digest(|| wfq(false), &no_warp),
+        0x1a1e_bc27_94f0_c724,
+        117_235,
+    );
+    pin(
+        digest(|| wfq(true), &no_warp),
+        0xda0b_4121_309b_483c,
+        147_305,
+    );
 }
 
 #[test]
 fn stride_digest() {
-    assert_eq!(digest(|| stride(false), &no_warp), 0x2191_c72e_102a_2ab2);
-    assert_eq!(digest(|| stride(true), &no_warp), 0x45b7_ad8a_7a8c_2430);
+    pin(
+        digest(|| stride(false), &no_warp),
+        0x7ab7_7a5d_50a2_802d,
+        80_201,
+    );
+    pin(
+        digest(|| stride(true), &no_warp),
+        0xc68e_7346_5d45_cb99,
+        108_296,
+    );
 }
 
 #[test]
 fn bvt_digest() {
-    assert_eq!(digest(|| bvt(false), &warp_thirds), 0x6fe5_f8ea_3e60_4198);
-    assert_eq!(digest(|| bvt(true), &warp_thirds), 0x5e15_62da_acd7_3de4);
+    pin(
+        digest(|| bvt(false), &warp_thirds),
+        0xc80e_827d_c500_af26,
+        129_931,
+    );
+    pin(
+        digest(|| bvt(true), &warp_thirds),
+        0xc9e1_9c03_347f_8f7b,
+        156_944,
+    );
 }
