@@ -1,119 +1,81 @@
-//! `repro` — regenerate the paper's tables and figures.
-//!
-//! ```text
-//! repro [--quick] [--out DIR] [--trace DIR] [ID...]
-//!
-//!   ID      one or more of: fig1 fig3 fig4 fig5 fig6a fig6b fig6c fig7
-//!           table1 all        (default: all)
-//!   --quick scaled-down runs (seconds instead of minutes)
-//!   --out   output directory  (default: results/)
-//!   --trace additionally export a `<id>.perfetto-trace` into DIR for
-//!           every requested experiment with a canonical sim scenario
-//!           (the fig6 family) — open them in https://ui.perfetto.dev
-//! ```
+//! `repro` — regenerate the paper's tables and figures, and run the
+//! concurrency-correctness gates. `repro --help` prints the options
+//! and the experiment ids (from `sfs_bench::EXPERIMENTS`).
 //!
 //! Each experiment prints its report to stdout and writes
-//! `<out>/<id>.txt` plus CSV data files. The `trace` experiment also
-//! writes `.perfetto-trace` artefacts next to its report.
+//! `<out>/<id>.txt` plus CSV data files. A failed gate (`lint`,
+//! `verify`) exits non-zero.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use sfs_bench::common::Effort;
-use sfs_bench::{all_ids, run_experiment};
+use sfs_bench::{fig6, select, EXPERIMENTS};
 
 fn usage() -> String {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
     format!(
-        "usage: repro [--quick] [--out DIR] [--trace DIR] [ID...]\n       IDs: {} all",
-        all_ids().join(" ")
+        "usage: repro [--quick] [--out DIR] [--trace DIR] [ID...]\n       \
+         IDs: {} all   (default: all)\n  \
+         --quick  scaled-down runs (seconds instead of minutes)\n  \
+         --out    output directory (default: results/)\n  \
+         --trace  also export a <id>.perfetto-trace into DIR for every requested\n           \
+         experiment with a canonical sim scenario (the fig6 family)",
+        ids.join(" ")
     )
 }
 
-fn main() -> ExitCode {
+fn run() -> Result<(), String> {
     let mut effort = Effort::Full;
     let mut out = PathBuf::from("results");
     let mut trace_dir: Option<PathBuf> = None;
     let mut ids: Vec<String> = Vec::new();
+    let needs_dir = |flag: &str| format!("{flag} needs a directory\n{}", usage());
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" | "-q" => effort = Effort::Quick,
-            "--out" | "-o" => match args.next() {
-                Some(dir) => out = PathBuf::from(dir),
-                None => {
-                    eprintln!("--out needs a directory\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace" | "-t" => match args.next() {
-                Some(dir) => trace_dir = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--trace needs a directory\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--out" | "-o" => out = args.next().ok_or_else(|| needs_dir("--out"))?.into(),
+            "--trace" | "-t" => {
+                trace_dir = Some(args.next().ok_or_else(|| needs_dir("--trace"))?.into());
+            }
             "--help" | "-h" => {
                 println!("{}", usage());
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
-            "all" => ids.extend(all_ids().iter().map(ToString::to_string)),
-            id if all_ids().contains(&id) => ids.push(id.to_string()),
-            other => {
-                eprintln!("unknown argument {other:?}\n{}", usage());
-                return ExitCode::FAILURE;
-            }
+            _ => ids.push(a),
         }
     }
-    if ids.is_empty() {
-        ids.extend(all_ids().iter().map(ToString::to_string));
-    }
-    ids.dedup();
+    let experiments =
+        select(&ids).map_err(|unknown| format!("unknown argument {unknown:?}\n{}", usage()))?;
 
-    for id in &ids {
-        eprintln!(
-            ">> running {id} ({})",
-            if effort == Effort::Quick {
-                "quick"
-            } else {
-                "full"
-            }
-        );
-        let res = run_experiment(id, effort);
-        println!("== {} — {} ==\n", res.id, res.title);
-        println!("{}", res.text);
-        if !res.summary.is_empty() {
-            println!("-- summary --");
-            for (k, v) in &res.summary {
-                println!("{k}: {v}");
-            }
-            println!();
-        }
-        match res.write_to(&out) {
-            Ok(files) => {
-                for f in files {
-                    eprintln!("   wrote {}", f.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("failed writing results for {id}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    for (id, experiment) in experiments {
+        eprintln!(">> running {id} ({effort:?})");
+        let res = experiment(effort);
+        println!("{}", res.render());
+        let mut files = res
+            .write_to(&out)
+            .map_err(|e| format!("failed writing results for {id}: {e}"))?;
         if let Some(dir) = &trace_dir {
-            match sfs_bench::trace::export_trace_for(id, effort, dir) {
-                Ok(Some(p)) => eprintln!("   wrote {}", p.display()),
-                Ok(None) => {}
-                Err(e) => {
-                    eprintln!("failed exporting trace for {id}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let trace = fig6::export_trace_for(id, effort, dir)
+                .map_err(|e| format!("failed exporting trace for {id}: {e}"))?;
+            files.extend(trace);
+        }
+        for f in files {
+            eprintln!("   wrote {}", f.display());
         }
         if res.failed {
-            eprintln!("{id}: GATE FAILED (see report above)");
-            return ExitCode::FAILURE;
+            return Err(format!("{id}: GATE FAILED (see report above)"));
         }
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    if let Err(msg) = run() {
+        eprintln!("{msg}");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -5,14 +5,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use sfs_core::policy::PolicySpec;
-use sfs_core::sched::Scheduler;
 use sfs_core::time::Duration;
 use sfs_trace::json::{obj, Json};
 
 /// How much work to spend on an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
-    /// Scaled-down runs for `cargo bench` / CI smoke (seconds total).
+    /// Scaled-down runs for tests and CI smoke (seconds total).
     Quick,
     /// Paper-scale runs for the recorded results.
     Full,
@@ -57,8 +56,6 @@ pub struct ExpResult {
     pub text: String,
     /// CSV artefacts: (file name, contents).
     pub csv: Vec<(String, String)>,
-    /// Binary artefacts, e.g. `.perfetto-trace` files: (file name, bytes).
-    pub bin: Vec<(String, Vec<u8>)>,
     /// Key findings, as (metric, value) pairs for EXPERIMENTS.md.
     pub summary: Vec<(String, String)>,
     /// True when the experiment is a gate (lint, verify) and its check
@@ -107,22 +104,26 @@ impl ExpResult {
         format!("{doc}\n")
     }
 
-    /// Writes the report, CSVs and the `BENCH_<id>.json` machine-readable
-    /// summary under `dir`.
-    pub fn write_to(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-        fs::create_dir_all(dir)?;
-        let mut written = Vec::new();
-        let txt = dir.join(format!("{}.txt", self.id));
-        let mut full = String::new();
-        let _ = writeln!(full, "== {} — {} ==\n", self.id, self.title);
-        full.push_str(&self.text);
+    /// The report as `repro` prints it and `<id>.txt` stores it: title,
+    /// text, then the summary findings.
+    pub fn render(&self) -> String {
+        let mut full = format!("== {} — {} ==\n\n{}", self.id, self.title, self.text);
         if !self.summary.is_empty() {
             let _ = writeln!(full, "-- summary --");
             for (k, v) in &self.summary {
                 let _ = writeln!(full, "{k}: {v}");
             }
         }
-        fs::write(&txt, full)?;
+        full
+    }
+
+    /// Writes the report, CSVs and the `BENCH_<id>.json` machine-readable
+    /// summary under `dir`.
+    pub fn write_to(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+        fs::create_dir_all(dir)?;
+        let mut written = Vec::new();
+        let txt = dir.join(format!("{}.txt", self.id));
+        fs::write(&txt, self.render())?;
         written.push(txt);
         let json = dir.join(format!("BENCH_{}.json", self.id));
         fs::write(&json, self.summary_json())?;
@@ -130,11 +131,6 @@ impl ExpResult {
         for (name, content) in &self.csv {
             let p = dir.join(name);
             fs::write(&p, content)?;
-            written.push(p);
-        }
-        for (name, bytes) in &self.bin {
-            let p = dir.join(name);
-            fs::write(&p, bytes)?;
             written.push(p);
         }
         Ok(written)
@@ -147,29 +143,11 @@ impl ExpResult {
 pub fn policy(kind: &str, quantum: Duration) -> PolicySpec {
     match kind {
         "sfs" => PolicySpec::sfs().with_quantum(quantum),
-        "sfs-heuristic" => PolicySpec::sfs().with_quantum(quantum).with_heuristic(20),
-        "sfs-affinity" => PolicySpec::sfs()
-            .with_quantum(quantum)
-            .with_affinity_margin(quantum * 2),
         "sfq" => PolicySpec::sfq().with_quantum(quantum),
         "sfq-readjust" => PolicySpec::sfq().with_quantum(quantum).with_readjustment(),
         "timeshare" => PolicySpec::time_sharing(),
-        "stride" => PolicySpec::stride().with_quantum(quantum),
-        "stride-readjust" => PolicySpec::stride()
-            .with_quantum(quantum)
-            .with_readjustment(),
-        "bvt" => PolicySpec::bvt().with_quantum(quantum),
-        "bvt-readjust" => PolicySpec::bvt().with_quantum(quantum).with_readjustment(),
-        "wfq" => PolicySpec::wfq().with_quantum(quantum),
-        "rr" => PolicySpec::round_robin().with_quantum(quantum),
         other => panic!("unknown scheduler kind {other:?}"),
     }
-}
-
-/// Builds a scheduler for one of the named experiment configurations —
-/// a thin convenience over [`policy`] + [`PolicySpec::build`].
-pub fn make_sched(kind: &str, cpus: u32, quantum: Duration) -> Box<dyn Scheduler> {
-    policy(kind, quantum).build(cpus)
 }
 
 #[cfg(test)]
@@ -187,27 +165,13 @@ mod tests {
 
     #[test]
     fn all_sched_kinds_construct() {
-        for kind in [
-            "sfs",
-            "sfs-heuristic",
-            "sfs-affinity",
-            "sfq",
-            "sfq-readjust",
-            "timeshare",
-            "stride",
-            "stride-readjust",
-            "bvt",
-            "bvt-readjust",
-            "wfq",
-            "rr",
-        ] {
+        for kind in ["sfs", "sfq", "sfq-readjust", "timeshare"] {
             let spec = policy(kind, Duration::from_millis(100));
             // Every named configuration round-trips through the string
             // form of the registry.
             let reparsed: PolicySpec = spec.to_string().parse().unwrap();
             assert_eq!(reparsed, spec, "{kind}");
-            let s = make_sched(kind, 2, Duration::from_millis(100));
-            assert_eq!(s.cpus(), 2, "{kind}");
+            assert_eq!(spec.build(2).cpus(), 2, "{kind}");
         }
     }
 

@@ -11,6 +11,9 @@
 //!   response times stay comparable to time sharing (which explicitly
 //!   boosts I/O-bound tasks).
 
+use std::io;
+use std::path::{Path, PathBuf};
+
 use sfs_core::time::Duration;
 use sfs_experiment::{Experiment, RunReport};
 use sfs_metrics::{render, ChartConfig, Summary, Table, TimeSeries};
@@ -35,9 +38,8 @@ fn base_cfg(effort: Effort, full_secs: u64, seed: u64) -> SimConfig {
 // ---------------------------------------------------------------- 6(a)
 
 /// The Figure 6(a) scenario: a weighted dhrystone pair over 20 weight-1
-/// background dhrystones. Shared with the `trace` experiment, which
-/// exports a Perfetto trace of exactly this run.
-pub(crate) fn scenario_6a(w_a: u64, w_b: u64, effort: Effort) -> Scenario {
+/// background dhrystones.
+fn scenario_6a(w_a: u64, w_b: u64, effort: Effort) -> Scenario {
     let cfg = base_cfg(effort, 10, 60 + w_b);
     Scenario::new("fig6a", cfg)
         .task(TaskSpec::new("bg", 1, BehaviorSpec::Dhrystone).replicated(20))
@@ -87,8 +89,8 @@ pub fn run_6a(effort: Effort) -> ExpResult {
 // ---------------------------------------------------------------- 6(b)
 
 /// The Figure 6(b) scenario: an MPEG decoder against `compilations`
-/// parallel compilations. Shared with the `trace` experiment.
-pub(crate) fn scenario_6b(compilations: usize, effort: Effort) -> Scenario {
+/// parallel compilations.
+fn scenario_6b(compilations: usize, effort: Effort) -> Scenario {
     let cfg = base_cfg(effort, 20, 61);
     let mut scenario = Scenario::new("fig6b", cfg).task(TaskSpec::new(
         "mpeg",
@@ -174,8 +176,8 @@ pub fn run_6b(effort: Effort) -> ExpResult {
 // ---------------------------------------------------------------- 6(c)
 
 /// The Figure 6(c) scenario: an interactive task against `simjobs`
-/// disksim processes. Shared with the `trace` experiment.
-pub(crate) fn scenario_6c(simjobs: usize, effort: Effort) -> Scenario {
+/// disksim processes.
+fn scenario_6c(simjobs: usize, effort: Effort) -> Scenario {
     let cfg = base_cfg(effort, 30, 62);
     let mut scenario = Scenario::new("fig6c", cfg).task(TaskSpec::new(
         "interact",
@@ -262,9 +264,41 @@ pub fn run_6c(effort: Effort) -> ExpResult {
     res
 }
 
+/// Exports a `.perfetto-trace` of the canonical SFS run behind one of
+/// this family's ids (`repro --trace DIR`). Returns the written path,
+/// or `Ok(None)` for ids with no canonical single run.
+pub fn export_trace_for(id: &str, effort: Effort, dir: &Path) -> io::Result<Option<PathBuf>> {
+    let scenario = match id {
+        "fig6a" => scenario_6a(1, 4, effort),
+        "fig6b" => scenario_6b(4, effort),
+        "fig6c" => scenario_6c(6, effort),
+        _ => return Ok(None),
+    };
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("{id}.perfetto-trace"));
+    Experiment::new(scenario)
+        .run_with_trace(policy("sfs", effort.quantum()), &path)
+        .map_err(|e| io::Error::other(e.to_string()))?;
+    Ok(Some(path))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fig6_traces_export_on_demand() {
+        let dir = std::env::temp_dir().join("sfs_trace_export_test");
+        let p = export_trace_for("fig6a", Effort::Quick, &dir)
+            .unwrap()
+            .expect("fig6a has a canonical scenario");
+        let bytes = std::fs::read(&p).unwrap();
+        assert!(sfs_trace::perfetto::validate_encoded(&bytes).is_ok());
+        assert!(export_trace_for("fig1", Effort::Quick, &dir)
+            .unwrap()
+            .is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn fig6a_tracks_weights() {

@@ -1,4 +1,4 @@
-//! # sfs-bench — experiment harnesses for every table and figure
+//! # sfs-bench — the paper's tables and figures, and the gates
 //!
 //! One module per paper artefact, each exposing `run(effort)` and
 //! returning a rendered [`common::ExpResult`]:
@@ -11,21 +11,12 @@
 //! | [`fig5`] | Figure 5(a,b) (short-jobs problem, SFQ vs SFS) |
 //! | [`fig6`] | Figure 6(a,b,c) (allocation, isolation, interactivity) |
 //! | [`overheads`] | Figure 7 and Table 1 (scheduling overheads) |
-//! | [`overhead`] | Per-decision cost sweep, 10²–10⁵ threads (beyond the paper: bucket-queue pick path) |
-//! | [`churn`] | Per-event cost sweep, 10²–10⁵ threads (beyond the paper: indexed-queue event path) |
-//! | [`mega`] | Whole-engine cost sweep, 10⁴–10⁶ tasks in one run (beyond the paper: timing-wheel engine) |
-//! | [`scale`] | Shard-scaling sweep: decisions/s + lock costs vs shard count, sharded-vs-global fairness (beyond the paper: §5 per-CPU run queues) |
-//! | [`tenants`] | Multi-tenant sweep: misbehaving-tenant isolation, decision cost at 10²–10⁴ tenants (beyond the paper: §6 hierarchical SFS) |
-//! | [`trace`] | Trace subsystem smoke: Perfetto export validity on sim + rt, capture→replay determinism, recording overhead (beyond the paper: observability) |
-//! | [`chaos`] | Overload armor: admission control vs a flooding tenant, seeded fault-injection recovery, chaos replay determinism (beyond the paper: robustness) |
 //! | [`verify`] | Concurrency-correctness gates: `lint` (project lint engine over `crates/*/src`) and `verify` (bounded interleaving checker over the epoch/steal/watchdog models) — gates, not measurements: failures exit non-zero |
 //!
-//! The `repro` binary drives them all and writes reports to
-//! `results/`; the `figures`/`overheads` bench targets run them in
-//! quick mode under `cargo bench`.
+//! The `repro` binary drives them all and writes reports to `results/`.
+//! Performance is measured by the `benchmark/` package and guarded by
+//! the root `tests/scaling_guards.rs` and `tests/perf_guards.rs`.
 
-pub mod chaos;
-pub mod churn;
 pub mod common;
 pub mod fig1;
 pub mod fig3;
@@ -33,49 +24,76 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod helpers;
-pub mod mega;
-pub mod overhead;
 pub mod overheads;
-pub mod scale;
-pub mod tenants;
-pub mod trace;
 pub mod verify;
 
 use common::{Effort, ExpResult};
 
-/// All experiment ids, in paper order.
-pub fn all_ids() -> Vec<&'static str> {
-    vec![
-        "fig1", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig6c", "fig7", "table1", "overhead",
-        "churn", "mega", "scale", "tenants", "trace", "chaos", "lint", "verify",
-    ]
+/// One `repro` experiment: its id and the harness that regenerates it.
+pub type Entry = (&'static str, fn(Effort) -> ExpResult);
+
+/// Every experiment `repro` can run, in paper order — the one source
+/// for the id list, the dispatch and the usage line.
+pub const EXPERIMENTS: &[Entry] = &[
+    ("fig1", fig1::run),
+    ("fig3", fig3::run),
+    ("fig4", fig4::run),
+    ("fig5", fig5::run),
+    ("fig6a", fig6::run_6a),
+    ("fig6b", fig6::run_6b),
+    ("fig6c", fig6::run_6c),
+    ("fig7", overheads::run_fig7),
+    ("table1", overheads::run_table1),
+    ("lint", verify::run_lint),
+    ("verify", verify::run_verify),
+];
+
+/// Resolves the ids given on the command line (`all` expands to the
+/// whole table; nothing requested means `all`) to the experiments to
+/// run, each once, in order of first mention — or, as the error, the
+/// first id that names no experiment.
+pub fn select(requested: &[String]) -> Result<Vec<Entry>, String> {
+    let mut picked: Vec<Entry> = Vec::new();
+    for id in requested {
+        let named = match EXPERIMENTS.iter().position(|(known, _)| known == id) {
+            Some(i) => &EXPERIMENTS[i..=i],
+            None if id == "all" => EXPERIMENTS,
+            None => return Err(id.clone()),
+        };
+        for exp in named {
+            if !picked.iter().any(|(id, _)| *id == exp.0) {
+                picked.push(*exp);
+            }
+        }
+    }
+    if requested.is_empty() {
+        picked.extend(EXPERIMENTS);
+    }
+    Ok(picked)
 }
 
-/// Runs one experiment by id.
-///
-/// # Panics
-///
-/// Panics on an unknown id; see [`all_ids`].
-pub fn run_experiment(id: &str, effort: Effort) -> ExpResult {
-    match id {
-        "fig1" => fig1::run(effort),
-        "fig3" => fig3::run(effort),
-        "fig4" => fig4::run(effort),
-        "fig5" => fig5::run(effort),
-        "fig6a" => fig6::run_6a(effort),
-        "fig6b" => fig6::run_6b(effort),
-        "fig6c" => fig6::run_6c(effort),
-        "fig7" => overheads::run_fig7(effort),
-        "table1" => overheads::run_table1(effort),
-        "overhead" => overhead::run(effort),
-        "churn" => churn::run(effort),
-        "mega" => mega::run(effort),
-        "scale" => scale::run(effort),
-        "tenants" => tenants::run(effort),
-        "trace" => trace::run(effort),
-        "chaos" => chaos::run(effort),
-        "lint" => verify::run_lint(effort),
-        "verify" => verify::run_verify(effort),
-        other => panic!("unknown experiment {other:?}; known: {:?}", all_ids()),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(requested: &[&str]) -> Vec<&'static str> {
+        let requested: Vec<String> = requested.iter().map(ToString::to_string).collect();
+        let picked = select(&requested).expect("known ids");
+        picked.iter().map(|(id, _)| *id).collect()
+    }
+
+    #[test]
+    fn selection_runs_each_experiment_once_in_order_of_first_mention() {
+        let all: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        assert_eq!(all.len(), 11);
+        assert_eq!(ids(&[]), all);
+        assert_eq!(ids(&["all"]), all);
+        // `dedup()` only dropped adjacent repeats: `fig3 all` ran fig3 twice.
+        let fig3_first = ids(&["fig3", "all"]);
+        assert_eq!(fig3_first.len(), all.len());
+        assert_eq!(fig3_first[..3], ["fig3", "fig1", "fig4"]);
+        assert_eq!(ids(&["fig5", "fig1", "fig5"]), ["fig5", "fig1"]);
+        // A deleted sweep is an unknown id, not a silent no-op.
+        assert_eq!(select(&["churn".to_string()]).unwrap_err(), "churn");
     }
 }

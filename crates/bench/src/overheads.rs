@@ -13,11 +13,11 @@ use sfs_core::time::Duration;
 use sfs_metrics::{render, ChartConfig, Table, TimeSeries};
 use sfs_rt::microbench::{checkpoint_cost, ctx_switch_latency, spawn_cost};
 
-use crate::common::{make_sched, Effort, ExpResult};
+use crate::common::{policy, Effort, ExpResult};
 
 fn sched_for(kind: &str) -> Box<dyn Scheduler> {
     // One virtual CPU, 200 ms quantum (switches come from yields).
-    make_sched(kind, 1, Duration::from_millis(200))
+    policy(kind, Duration::from_millis(200)).build(1)
 }
 
 /// Regenerates Figure 7: context-switch latency vs number of processes

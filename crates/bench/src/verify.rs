@@ -5,8 +5,9 @@
 //!
 //! * `repro lint` runs the project lint engine (see
 //!   `sfs_analyze::lint`) over `crates/*/src`, applying the workspace
-//!   `lint.allow`, and additionally proves each rule non-vacuous by
-//!   feeding it a seeded mutation it must catch.
+//!   `lint.allow` (an entry whose file is gone fails the gate), and
+//!   additionally proves each rule non-vacuous by feeding it a seeded
+//!   mutation it must catch.
 //! * `repro verify` runs the bounded interleaving checker (see
 //!   `sfs_analyze::interleave`) over the three concurrency models —
 //!   epoch publish/read, steal-vs-exit on two shards,
@@ -27,8 +28,52 @@ use crate::common::{Effort, ExpResult};
 /// (works from `cargo run`, `cargo test` and the installed binary run
 /// from a checkout).
 fn workspace_root() -> &'static Path {
-    static ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    Path::new(ROOT)
+    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+}
+
+/// The `lint.allow` entries under `root` whose path no longer exists.
+/// The engine only ever matches entries against findings, so an entry
+/// that outlives the file it excused would otherwise go unnoticed.
+fn stale_allow_entries(root: &Path) -> Vec<String> {
+    let text = std::fs::read_to_string(root.join("lint.allow")).unwrap_or_default();
+    text.lines()
+        .filter(|line| !line.trim_start().starts_with('#'))
+        .filter_map(|line| line.split_whitespace().nth(1))
+        .filter(|path| !root.join(path).exists())
+        .map(str::to_string)
+        .collect()
+}
+
+/// Lints the tree under `root` and fails `res` on any unsuppressed
+/// finding or stale `lint.allow` entry.
+fn lint_tree(root: &Path, res: &mut ExpResult) {
+    match lint::run(root) {
+        Ok(report) => {
+            let stale = stale_allow_entries(root);
+            let mut body = format!(
+                "scanned {} files; {} finding(s), {} suppressed by lint.allow\n",
+                report.files_scanned,
+                report.findings.len(),
+                report.suppressed
+            );
+            for f in &report.findings {
+                let _ = writeln!(body, "  {f}");
+            }
+            for path in &stale {
+                let _ = writeln!(body, "  lint.allow: stale entry, no such file: {path}");
+            }
+            res.section(&body);
+            res.finding("files scanned", report.files_scanned.to_string());
+            res.finding("findings", report.findings.len().to_string());
+            res.finding("suppressed", report.suppressed.to_string());
+            res.finding("stale allow entries", stale.len().to_string());
+            res.failed |= !report.clean() || !stale.is_empty();
+        }
+        Err(e) => {
+            res.section(&format!("lint run failed: {e}"));
+            res.failed = true;
+        }
+    }
 }
 
 /// Runs the project lint engine as a gate.
@@ -84,11 +129,8 @@ pub fn run_lint(_effort: Effort) -> ExpResult {
     let mut mut_text = String::from("seeded mutations (each rule must fire on its own):\n");
     for (rule, path, src) in mutations {
         let hit = lint::scan_source(path, src).iter().any(|f| f.rule == *rule);
-        if hit {
-            caught += 1;
-        } else {
-            res.failed = true;
-        }
+        caught += usize::from(hit);
+        res.failed |= !hit;
         let _ = writeln!(
             mut_text,
             "  {rule:<16} {}",
@@ -98,43 +140,29 @@ pub fn run_lint(_effort: Effort) -> ExpResult {
     res.section(&mut_text);
     res.finding("mutations caught", format!("{caught}/{}", mutations.len()));
 
-    // The real tree.
-    match lint::run(workspace_root()) {
-        Ok(report) => {
-            let mut body = format!(
-                "scanned {} files; {} finding(s), {} suppressed by lint.allow\n",
-                report.files_scanned,
-                report.findings.len(),
-                report.suppressed
-            );
-            for f in &report.findings {
-                let _ = writeln!(body, "  {f}");
-            }
-            res.section(&body);
-            res.finding("files scanned", report.files_scanned.to_string());
-            res.finding("findings", report.findings.len().to_string());
-            res.finding("suppressed", report.suppressed.to_string());
-            if !report.clean() {
-                res.failed = true;
-            }
-        }
-        Err(e) => {
-            res.section(&format!("lint run failed: {e}"));
-            res.failed = true;
-        }
-    }
+    lint_tree(workspace_root(), &mut res);
     res.finding("gate", if res.failed { "FAIL" } else { "pass" }.to_string());
     res
 }
 
-/// One model's exploration line for the report.
-fn describe(name: &str, report: &Report, expect_clean: bool) -> (String, bool) {
-    let ok = if expect_clean {
-        report.clean()
-    } else {
-        !report.clean()
-    };
-    let mut line = format!(
+/// The three executor models, correct or carrying their seeded bug.
+fn models(broken: bool) -> [(&'static str, Box<dyn Model>); 3] {
+    [
+        ("epoch-publish", Box::new(EpochPublish::new(broken))),
+        ("steal-vs-exit", Box::new(StealVsExit::new(broken))),
+        (
+            "watchdog-heartbeat",
+            Box::new(WatchdogHeartbeat::new(broken)),
+        ),
+    ]
+}
+
+/// Appends one model's exploration line to `body`; true when the
+/// exploration came out as expected.
+fn describe(body: &mut String, name: &str, report: &Report, expect_clean: bool) -> bool {
+    let ok = report.clean() == expect_clean;
+    let _ = writeln!(
+        body,
         "  {name:<28} {:>7} schedules ({}) — {}",
         report.schedules,
         if report.complete {
@@ -149,8 +177,7 @@ fn describe(name: &str, report: &Report, expect_clean: bool) -> (String, bool) {
             (false, false) => "MUTATION MISSED".to_string(),
         }
     );
-    line.push('\n');
-    (line, ok)
+    ok
 }
 
 /// Runs the bounded interleaving checker as a gate.
@@ -164,35 +191,10 @@ pub fn run_verify(effort: Effort) -> ExpResult {
 
     let mut total = 0usize;
     let mut body = String::from("exhaustive DFS over each model:\n");
-
-    // (name, correct model, broken mutation of the same model)
-    type Case = (&'static str, Box<dyn Model>, Box<dyn Model>);
-    let cases: Vec<Case> = vec![
-        (
-            "epoch-publish",
-            Box::new(EpochPublish::new(false)),
-            Box::new(EpochPublish::new(true)),
-        ),
-        (
-            "steal-vs-exit",
-            Box::new(StealVsExit::new(false)),
-            Box::new(StealVsExit::new(true)),
-        ),
-        (
-            "watchdog-heartbeat",
-            Box::new(WatchdogHeartbeat::new(false)),
-            Box::new(WatchdogHeartbeat::new(true)),
-        ),
-    ];
-
-    for (name, mut correct, mut broken) in cases {
+    for ((name, mut correct), (_, mut broken)) in models(false).into_iter().zip(models(true)) {
         let clean = explorer.explore(correct.as_mut());
         total += clean.schedules;
-        let (line, ok) = describe(name, &clean, true);
-        body.push_str(&line);
-        if !ok {
-            res.failed = true;
-        }
+        res.failed |= !describe(&mut body, name, &clean, true);
         res.finding(
             &format!("{name} schedules"),
             format!(
@@ -201,37 +203,18 @@ pub fn run_verify(effort: Effort) -> ExpResult {
                 if clean.complete { " (exhaustive)" } else { "" }
             ),
         );
-
         let seeded = explorer.explore(broken.as_mut());
-        let (line, ok) = describe(&format!("{name} [broken]"), &seeded, false);
-        body.push_str(&line);
-        if !ok {
-            res.failed = true;
-        }
+        res.failed |= !describe(&mut body, &format!("{name} [broken]"), &seeded, false);
     }
     res.section(&body);
 
     // A seeded random sweep on top: different coverage shape, same
     // invariants, deterministic per seed.
     let mut sampled = String::from("seeded random sweep (xorshift64*, seed 0xC0FFEE):\n");
-    for (name, mut model) in [
-        (
-            "epoch-publish",
-            Box::new(EpochPublish::new(false)) as Box<dyn Model>,
-        ),
-        ("steal-vs-exit", Box::new(StealVsExit::new(false))),
-        (
-            "watchdog-heartbeat",
-            Box::new(WatchdogHeartbeat::new(false)),
-        ),
-    ] {
+    for (name, mut model) in models(false) {
         let rep = explorer.sample(model.as_mut(), 0xC0_FFEE, samples);
         total += rep.schedules;
-        let (line, ok) = describe(name, &rep, true);
-        sampled.push_str(&line);
-        if !ok {
-            res.failed = true;
-        }
+        res.failed |= !describe(&mut sampled, name, &rep, true);
     }
     res.section(&sampled);
 
@@ -240,9 +223,7 @@ pub fn run_verify(effort: Effort) -> ExpResult {
         "schedule floor (>= 10^4)",
         if total >= 10_000 { "met" } else { "MISSED" }.to_string(),
     );
-    if total < 10_000 {
-        res.failed = true;
-    }
+    res.failed |= total < 10_000;
     res.finding("gate", if res.failed { "FAIL" } else { "pass" }.to_string());
     res
 }
@@ -259,6 +240,29 @@ mod tests {
             "lint gate must pass on the checked-in tree:\n{}",
             res.text
         );
+    }
+
+    #[test]
+    fn stale_allow_entry_fails_the_gate() {
+        // A fixture tree with one clean source file: an entry naming it
+        // passes, the same entry naming a file that is gone must fail.
+        let root = std::env::temp_dir().join("sfs_stale_allow_test");
+        let src = root.join("crates/x/src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::write(src.join("lib.rs"), "pub fn f() {}\n").unwrap();
+        let gate = |path: &str| {
+            let entry = format!("# fixture\nrt-sleep {path} # a reason\n");
+            std::fs::write(root.join("lint.allow"), entry).unwrap();
+            let mut res = ExpResult::new("lint", "fixture");
+            lint_tree(&root, &mut res);
+            res
+        };
+        let live = gate("crates/x/src/lib.rs");
+        assert!(!live.failed, "{}", live.text);
+        let stale = gate("crates/x/src/gone.rs");
+        assert!(stale.failed, "stale entry slipped through:\n{}", stale.text);
+        assert!(stale.text.contains("src/gone.rs"), "{}", stale.text);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

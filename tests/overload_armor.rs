@@ -91,6 +91,51 @@ fn kill_while_blocked_conserves_weight_in_every_policy() {
     }
 }
 
+/// Admission against a flooding tenant: four tenants of equal group
+/// share, the last flooding 16 weight-100 tasks. `admit(max=4,...)`
+/// admits every honest tenant whole and refuses exactly the rogue's 12
+/// surplus arrivals, and the honest tenants sit at least as close to
+/// their 1/4 entitlement as under unarmored flat SFS.
+#[test]
+fn admission_caps_the_rogue_flood() {
+    let mut scenario = Scenario::new("rogue-flood", quick_cfg(4, 1_000));
+    for (t, w, n) in [(0, 1, 2), (1, 1, 2), (2, 1, 2), (3, 100, 16)] {
+        let name = format!("t{t}");
+        scenario = scenario.tenant(
+            &name,
+            [TaskSpec::new(&name, w, BehaviorSpec::Inf).replicated(n)],
+        );
+    }
+    let exp = Experiment::new(scenario);
+    let groups = "t0=sfs:quantum=5ms,t1=sfs:quantum=5ms,t2=sfs:quantum=5ms,t3=sfs:quantum=5ms";
+    let armored = exp
+        .run(format!("sfs:groups({groups}),admit(max=4,rate=500/s)").as_str())
+        .unwrap();
+    let flat = exp.run("sfs:quantum=5ms").unwrap();
+    assert_eq!(armored.health.rejected, 12, "{:?}", armored.health);
+    assert_eq!(flat.health.rejected, 0);
+    // Worst honest tenant's distance from its entitlement, summing
+    // replicas by name prefix (flat runs carry no tenant ids).
+    let worst_err = |rep: &RunReport| {
+        let shares = rep.shares();
+        (0..3).fold(0.0_f64, |worst, t| {
+            let prefix = format!("t{t}#");
+            let named = rep.tasks.iter().zip(&shares);
+            let share: f64 = named
+                .filter(|(task, _)| task.name.starts_with(&prefix))
+                .map(|(_, s)| s)
+                .sum();
+            worst.max((share - 0.25).abs())
+        })
+    };
+    let (armored_err, flat_err) = (worst_err(&armored), worst_err(&flat));
+    assert!(armored_err < 0.05, "tenant starved: {armored_err:.4}");
+    assert!(
+        armored_err <= flat_err + 0.02,
+        "armor isolates worse than flat SFS: {armored_err:.4} vs {flat_err:.4}"
+    );
+}
+
 /// Runs a fixed 4-task scenario with `plan` injected and audits the
 /// resulting report: every fault recovered, zero invariant violations,
 /// and no task lost or double-counted.

@@ -1,0 +1,169 @@
+//! Wall-clock performance guards. All three are `#[ignore]`d: their
+//! bounds only mean something in a release build on a quiet machine, so
+//! tier-1 `cargo test` skips them and CI's `smoke` job runs
+//! `cargo test --release --test perf_guards -- --ignored`. The numbers
+//! themselves are `benchmark/`'s (`sim.engine.ns_per_event`,
+//! `decisions_per_s`, `trace.recorder.overhead_pct`); these tests keep
+//! only the pass/fail tolerances CI has always applied.
+
+mod common;
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
+
+use sfs::prelude::*;
+
+/// Wall-clock measurements must not overlap (the harness runs tests on
+/// parallel threads): every guard holds this for its whole run.
+static QUIET: Mutex<()> = Mutex::new(());
+
+/// Engine cost per event stays flat-to-logarithmic over two decades of
+/// task count. The constant is generous for shared runners; linear
+/// growth (~100×) still fails it by an order of magnitude.
+#[test]
+#[ignore = "wall clock: release build, CI smoke job"]
+fn mega_engine_cost_per_event_grows_at_most_logarithmically() {
+    let _quiet = QUIET.lock().unwrap_or_else(PoisonError::into_inner);
+    let job = Duration::from_micros(200);
+    let (n0, n1) = (1_000_usize, 100_000_usize);
+    let _ = common::mega_point(n0 / 10, job); // page in the code paths
+    let (small, big) = (common::mega_point(n0, job), common::mega_point(n1, job));
+    let log_ratio = (n1 as f64).ln() / (n0 as f64).ln();
+    let bound = 6.0 * log_ratio.max(1.0) * small.ns_per_event.max(1.0);
+    println!(
+        "ns/event: {:.1} @ {n0} -> {:.1} @ {n1} (bound {bound:.1})",
+        small.ns_per_event, big.ns_per_event
+    );
+    assert!(big.ns_per_event <= bound, "superlogarithmic growth");
+    assert_eq!(big.tasks, n1 as u64);
+    assert!(big.events > big.tasks);
+    assert!(big.completed >= big.tasks * 9 / 10, "{big:?}");
+}
+
+/// Virtual processors (= driver OS threads) in the shard guard.
+const CPUS: u32 = 8;
+
+/// Aggregate decisions made in `run_ms` wall milliseconds by one driver
+/// thread per CPU replaying the rt executor's hot path — lock the CPU's
+/// shard, `put_prev` the last quantum, `pick_next` the next — against
+/// `threads` compute-bound tasks of ten mixed weights.
+fn decisions(shards: u32, threads: u64, run_ms: u64) -> u64 {
+    let spec: PolicySpec = "sfs:quantum=1ms".parse().expect("static spec");
+    let mut sharded = ShardedScheduler::build(&spec, shards, CPUS, None);
+    for i in 0..threads {
+        sharded.attach(TaskId(i), weight(1 + i % 10), Time::ZERO);
+    }
+    let (layout, shard_scheds, _balancer) = sharded.into_parts();
+    let locks: Vec<Mutex<Box<dyn Scheduler>>> = shard_scheds.into_iter().map(Mutex::new).collect();
+    let stop = AtomicBool::new(false);
+    let quantum = Duration::from_millis(1);
+    std::thread::scope(|scope| {
+        let drivers: Vec<_> = (0..CPUS)
+            .map(|cpu| {
+                let (shard, local) = (layout.shard_of(CpuId(cpu)), layout.local(CpuId(cpu)));
+                let (locks, stop) = (&locks, &stop);
+                scope.spawn(move || {
+                    let (mut now, mut running, mut made) = (Time::ZERO, None, 0u64);
+                    // relaxed: cooperative stop flag; one extra iteration is harmless.
+                    while !stop.load(Ordering::Relaxed) {
+                        let mut sched = locks[shard].lock().expect("driver lock");
+                        now += quantum;
+                        if let Some(id) = running.take() {
+                            sched.put_prev(id, quantum, SwitchReason::Preempted, now);
+                        }
+                        running = sched.pick_next(local, now);
+                        made += 1;
+                    }
+                    made
+                })
+            })
+            .collect();
+        std::thread::sleep(std::time::Duration::from_millis(run_ms));
+        stop.store(true, Ordering::Relaxed);
+        drivers.into_iter().map(|d| d.join().expect("driver")).sum()
+    })
+}
+
+/// Per-CPU shard locks never make the aggregate decision rate worse
+/// than one global lock. 0.9: tolerance for noisy shared runners; a
+/// real regression sits far below it, real scaling far above.
+#[test]
+#[ignore = "wall clock: release build, CI smoke job"]
+fn per_cpu_shards_are_no_slower_than_one_global_lock() {
+    let _quiet = QUIET.lock().unwrap_or_else(PoisonError::into_inner);
+    for threads in [100, 1_000, 5_000] {
+        let (one, top) = (decisions(1, threads, 120), decisions(CPUS, threads, 120));
+        println!("n={threads}: 1 shard {one} -> {CPUS} shards {top} decisions / 120 ms");
+        assert!(one > 0 && top > 0, "drivers made no progress");
+        assert!(
+            top as f64 >= 0.9 * one as f64,
+            "{CPUS} shards slower than the global lock at n={threads}: {top} vs {one}"
+        );
+    }
+}
+
+/// Median traced-over-traceless wall-clock overhead, in percent, on a
+/// churn-heavy scenario (every task blocks and wakes every few ms — the
+/// busiest event path the simulator has). Machine speed drifts over
+/// seconds, far more than the effect measured, so the estimate is the
+/// median of *per-pair* ratios: both runs of a pair execute back to
+/// back, and pairs alternate which variant goes first.
+fn recording_overhead_pct(pairs: usize) -> f64 {
+    let cfg = SimConfig {
+        cpus: 2,
+        duration: Duration::from_secs(2),
+        ..SimConfig::default()
+    };
+    let interact = BehaviorSpec::Interact {
+        think: Duration::from_millis(2),
+        burst: Duration::from_millis(1),
+    };
+    let compile = BehaviorSpec::Compile {
+        burst: Duration::from_millis(4),
+        io: Duration::from_millis(1),
+    };
+    let exp = Experiment::new(
+        Scenario::new("trace-churn", cfg)
+            .task(TaskSpec::new("interact", 1, interact).replicated(12))
+            .task(TaskSpec::new("gcc", 1, compile).replicated(4)),
+    );
+    let ms = |traced: bool| {
+        let t0 = Instant::now();
+        if traced {
+            exp.run_recorded("sfs:quantum=5ms").expect("traced run");
+        } else {
+            exp.run("sfs:quantum=5ms").expect("traceless run");
+        }
+        t0.elapsed().as_secs_f64() * 1e3
+    };
+    let mut ratios = Vec::with_capacity(pairs);
+    for i in 0..pairs + 2 {
+        let mut took = [0.0; 2]; // [plain, traced]
+        for traced in [i % 2 == 1, i % 2 == 0] {
+            took[usize::from(traced)] = ms(traced);
+        }
+        // The two leading pairs are warm-up: they pay the allocator fills.
+        if i >= 2 {
+            ratios.push((took[1] - took[0]) / took[0] * 100.0);
+        }
+    }
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
+/// Recording stays cheap enough to leave on: ≤ +5 %. Shared runners
+/// occasionally throw an outlier past the gate, so one failed reading
+/// earns one full re-measurement — a true regression fails both.
+#[test]
+#[ignore = "wall clock: release build, CI smoke job"]
+fn trace_recording_overhead_stays_under_five_percent() {
+    let _quiet = QUIET.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut pct = recording_overhead_pct(20);
+    println!("recording overhead: {pct:+.2}% (gate: +5%)");
+    if pct > 5.0 {
+        pct = recording_overhead_pct(20);
+        println!("re-measured: {pct:+.2}%");
+    }
+    assert!(pct <= 5.0, "recording overhead {pct:+.2}% exceeds +5%");
+}

@@ -301,3 +301,45 @@ fn sharded_soak_with_infeasible_weights() {
     }
     drive(4, 2, &ops, 4_000);
 }
+
+/// The rebalance bound on whole scenarios: against global SFS on three
+/// figure-style runs, a `shards=N` spec costs at most a few points of
+/// Jain index and share error.
+#[test]
+fn sharded_fairness_stays_within_rebalance_bound() {
+    let cfg = |cpus: u32| SimConfig {
+        cpus,
+        duration: Duration::from_secs(2),
+        ..SimConfig::default()
+    };
+    let interact = BehaviorSpec::Interact {
+        think: Duration::from_millis(40),
+        burst: Duration::from_millis(5),
+    };
+    let scenarios = [
+        // Example 1 / fig1: infeasible 1:10 weights on two CPUs.
+        Scenario::new("fig1-infeasible", cfg(2))
+            .task(TaskSpec::new("light", 1, BehaviorSpec::Inf))
+            .task(TaskSpec::new("heavy", 10, BehaviorSpec::Inf)),
+        // fig6a-style mixed allocation: ten tasks, three weights, 4 CPUs.
+        Scenario::new("fig6-mixed", cfg(4))
+            .task(TaskSpec::new("w4", 4, BehaviorSpec::Inf).replicated(2))
+            .task(TaskSpec::new("w2", 2, BehaviorSpec::Inf).replicated(3))
+            .task(TaskSpec::new("w1", 1, BehaviorSpec::Inf).replicated(5)),
+        // Interactive + hogs: blocking and waking across shards.
+        Scenario::new("fig6-interactive", cfg(4))
+            .task(TaskSpec::new("hog", 2, BehaviorSpec::Inf).replicated(4))
+            .task(TaskSpec::new("interact", 1, interact).replicated(4)),
+    ];
+    for scenario in scenarios {
+        let (name, cpus) = (scenario.name.clone(), scenario.config.cpus);
+        let sharded = format!("sfs:quantum=10ms,shards={cpus}");
+        let cmp = Experiment::new(scenario)
+            .compare(["sfs:quantum=10ms", sharded.as_str()])
+            .expect("figure-style scenario");
+        let d = &cmp.deltas()[1];
+        let (jain, err) = (d.jain_delta, d.share_error_delta);
+        assert!(jain > -0.12, "{name}: Jain delta {jain:+.4}");
+        assert!(err < 0.15, "{name}: share-error delta {err:+.4}");
+    }
+}

@@ -110,6 +110,37 @@ fn rt_capture_replays_identically_on_the_simulator() {
     );
 }
 
+/// Chaos is as deterministic as everything else on the simulator: a
+/// run with a seeded fault plan (panics, stalls, jitter, dropped wakes)
+/// under an admission-gated hierarchy is captured and re-driven, and
+/// the context-switch sequences match exactly.
+#[test]
+fn faulted_admission_gated_capture_replays_identically() {
+    let cfg = SimConfig {
+        cpus: 2,
+        duration: Duration::from_millis(500),
+        ..SimConfig::default()
+    };
+    let plan = FaultPlan::generate(0xC0FF_EE00_5EED, Time::from_millis(500), 4, 2, 4);
+    let scenario = Scenario::new("chaos-replay", cfg)
+        .task(TaskSpec::new("a", 1, BehaviorSpec::Inf))
+        .task(TaskSpec::new("b", 1, BehaviorSpec::Inf))
+        .task(TaskSpec::new("c", 2, BehaviorSpec::Inf))
+        .task(TaskSpec::new("d", 2, BehaviorSpec::Inf))
+        .with_faults(plan);
+    let (report, capture) = Experiment::new(scenario)
+        .capture("sfs:groups(t0=sfs:quantum=5ms,t1=sfs:quantum=5ms),admit(max=4,rate=500/s)")
+        .unwrap();
+    assert!(report.health.faults_injected > 0, "{:?}", report.health);
+    let replay = Experiment::replay(&capture).unwrap();
+    assert!(!replay.captured.is_empty());
+    assert!(
+        replay.sequences_match(),
+        "chaos replay diverged at index {:?}",
+        replay.first_divergence()
+    );
+}
+
 /// The rt timer thread samples per-task scheduling state through the
 /// live scheduler: the worst charged surplus and the smallest adjusted
 /// weight among running tasks, on the same counter tracks the simulator
