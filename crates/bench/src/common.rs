@@ -6,7 +6,6 @@ use std::path::{Path, PathBuf};
 
 use sfs_core::policy::PolicySpec;
 use sfs_core::time::Duration;
-use sfs_trace::json::{obj, Json};
 
 /// How much work to spend on an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,23 +86,6 @@ impl ExpResult {
         self.summary.push((key.to_string(), value));
     }
 
-    /// The machine-readable summary (`BENCH_<id>.json` contents): the
-    /// experiment id, title and every recorded finding, so successive
-    /// runs can be diffed and perf trajectories tracked by tooling.
-    pub fn summary_json(&self) -> String {
-        let summary = self
-            .summary
-            .iter()
-            .map(|(k, v)| (k.as_str(), Json::Str(v.clone())))
-            .collect();
-        let doc = obj(vec![
-            ("id", Json::Str(self.id.clone())),
-            ("title", Json::Str(self.title.clone())),
-            ("summary", obj(summary)),
-        ]);
-        format!("{doc}\n")
-    }
-
     /// The report as `repro` prints it and `<id>.txt` stores it: title,
     /// text, then the summary findings.
     pub fn render(&self) -> String {
@@ -117,17 +99,13 @@ impl ExpResult {
         full
     }
 
-    /// Writes the report, CSVs and the `BENCH_<id>.json` machine-readable
-    /// summary under `dir`.
+    /// Writes the report and CSVs under `dir`.
     pub fn write_to(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         fs::create_dir_all(dir)?;
         let mut written = Vec::new();
         let txt = dir.join(format!("{}.txt", self.id));
         fs::write(&txt, self.render())?;
         written.push(txt);
-        let json = dir.join(format!("BENCH_{}.json", self.id));
-        fs::write(&json, self.summary_json())?;
-        written.push(json);
         for (name, content) in &self.csv {
             let p = dir.join(name);
             fs::write(&p, content)?;
@@ -183,29 +161,11 @@ mod tests {
         r.csv.push(("t1_data.csv".into(), "a,b\n1,2\n".into()));
         let dir = std::env::temp_dir().join("sfs_exp_test");
         let files = r.write_to(&dir).unwrap();
-        assert_eq!(files.len(), 3);
+        assert_eq!(files.len(), 2);
         let txt = fs::read_to_string(&files[0]).unwrap();
         assert!(txt.contains("hello"));
         assert!(txt.contains("x: 1"));
-        let json = fs::read_to_string(&files[1]).unwrap();
-        assert!(files[1].ends_with("BENCH_t1.json"), "{:?}", files[1]);
-        assert!(json.contains(r#""x":"1""#), "{json}");
+        assert!(files[1].ends_with("t1_data.csv"), "{:?}", files[1]);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn json_escaping_is_sound() {
-        let mut r = ExpResult::new("q\"uote", "line\nbreak\ttab\\slash");
-        r.finding("k", "v".into());
-        let doc = Json::parse(&r.summary_json()).unwrap();
-        assert_eq!(doc.get("id").unwrap().as_str(), Some("q\"uote"));
-        assert_eq!(
-            doc.get("title").unwrap().as_str(),
-            Some("line\nbreak\ttab\\slash")
-        );
-        assert_eq!(
-            doc.get("summary").unwrap().get("k").unwrap().as_str(),
-            Some("v")
-        );
     }
 }

@@ -166,11 +166,6 @@ impl AdmissionControl {
         }
     }
 
-    /// The policy being enforced.
-    pub fn policy(&self) -> &AdmissionPolicy {
-        &self.policy
-    }
-
     /// Total arrivals admitted so far.
     pub fn admitted(&self) -> u64 {
         self.admitted

@@ -575,11 +575,8 @@ mod tests {
         q.insert(TaskId(4), fx(4), fx(3)); // α = 12
         let order: Vec<u64> = q.iter_by_surplus(Fixed::ZERO).map(|(_, id)| id.0).collect();
         assert_eq!(order, vec![2, 3, 1, 4]);
-        let alphas: Vec<i64> = q
-            .iter_by_surplus(Fixed::ZERO)
-            .map(|(a, _)| a.trunc())
-            .collect();
-        assert_eq!(alphas, vec![6, 8, 10, 12]);
+        let alphas: Vec<Fixed> = q.iter_by_surplus(Fixed::ZERO).map(|(a, _)| a).collect();
+        assert_eq!(alphas, vec![fx(6), fx(8), fx(10), fx(12)]);
     }
 
     #[test]

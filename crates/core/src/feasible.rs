@@ -116,11 +116,6 @@ impl FeasibleWeights {
         self.total
     }
 
-    /// Number of distinct raw weights in the runnable set.
-    pub fn distinct_weights(&self) -> usize {
-        self.classes.len()
-    }
-
     /// Cumulative event-path steps: class-map updates plus readjustment
     /// bookkeeping.
     pub fn event_steps(&self) -> u64 {
@@ -246,18 +241,9 @@ impl FeasibleWeights {
         self.cap
     }
 
-    /// Iterates runnable tasks in descending weight order (ids ascending
-    /// within one weight class).
-    pub fn iter_desc(&self) -> impl Iterator<Item = (Fixed, TaskId)> + '_ {
-        self.classes
-            .iter()
-            .rev()
-            .flat_map(|(&w, ids)| ids.iter().map(move |&id| (Fixed::from_int(w as i64), id)))
-    }
-
     /// Iterates runnable tasks in ascending weight order (the backwards
-    /// scan used by the scheduling heuristic, §3.2 footnote 8); the
-    /// exact reverse of [`FeasibleWeights::iter_desc`].
+    /// scan used by the scheduling heuristic, §3.2 footnote 8), ids
+    /// descending within one weight class.
     pub fn iter_asc(&self) -> impl Iterator<Item = (Fixed, TaskId)> + '_ {
         self.classes.iter().flat_map(|(&w, ids)| {
             ids.iter()
@@ -445,23 +431,19 @@ mod tests {
         f.remove(TaskId(1), weight(3));
         assert_eq!(f.total_weight(), 10);
         assert_eq!(f.len(), 1);
-        assert_eq!(f.distinct_weights(), 1);
     }
 
     #[test]
-    fn iter_asc_is_reverse_of_desc() {
+    fn iter_asc_orders_by_weight_then_descending_id() {
         let mut f = FeasibleWeights::new(2, true);
         for (i, w) in [5u64, 3, 9, 1, 5].iter().enumerate() {
             f.insert(TaskId(i as u64), weight(*w));
         }
-        let desc: Vec<_> = f.iter_desc().map(|(_, id)| id).collect();
-        let mut asc: Vec<_> = f.iter_asc().map(|(_, id)| id).collect();
-        asc.reverse();
-        assert_eq!(desc, asc);
-        // Descending weights, ascending ids within the tied class.
+        let asc: Vec<_> = f.iter_asc().map(|(_, id)| id).collect();
+        // Ascending weights, descending ids within the tied class.
         assert_eq!(
-            desc,
-            vec![TaskId(2), TaskId(0), TaskId(4), TaskId(1), TaskId(3)]
+            asc,
+            vec![TaskId(3), TaskId(1), TaskId(4), TaskId(0), TaskId(2)]
         );
     }
 

@@ -26,8 +26,6 @@ pub struct Fixed(i128);
 impl Fixed {
     /// Zero.
     pub const ZERO: Fixed = Fixed(0);
-    /// One.
-    pub const ONE: Fixed = Fixed(SCALE);
     /// The maximum representable value; used as an "infinity" sentinel.
     pub const MAX: Fixed = Fixed(i128::MAX);
 
@@ -63,16 +61,6 @@ impl Fixed {
         self.0 as f64 / SCALE as f64
     }
 
-    /// Truncates to an integer (toward zero).
-    pub const fn trunc(self) -> i64 {
-        (self.0 / SCALE) as i64
-    }
-
-    /// True if the value is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Returns the smaller of two values.
     pub fn min(self, other: Fixed) -> Fixed {
         if self <= other {
@@ -89,16 +77,6 @@ impl Fixed {
         } else {
             other
         }
-    }
-
-    /// Absolute value.
-    pub const fn abs(self) -> Fixed {
-        Fixed(self.0.abs())
-    }
-
-    /// Saturating addition.
-    pub fn saturating_add(self, rhs: Fixed) -> Fixed {
-        Fixed(self.0.saturating_add(rhs.0))
     }
 
     /// Multiplies two fixed-point values, rescaling the product.
@@ -207,9 +185,9 @@ mod tests {
     #[test]
     fn integer_roundtrip() {
         assert_eq!(Fixed::from_int(0), Fixed::ZERO);
-        assert_eq!(Fixed::from_int(1), Fixed::ONE);
-        assert_eq!(Fixed::from_int(42).trunc(), 42);
-        assert_eq!(Fixed::from_int(-3).trunc(), -3);
+        assert_eq!(Fixed::from_int(1).raw(), SCALE);
+        assert_eq!(Fixed::from_int(42).raw() / SCALE, 42);
+        assert_eq!(Fixed::from_int(-3).raw() / SCALE, -3);
     }
 
     #[test]
@@ -251,7 +229,6 @@ mod tests {
         assert!(a < b);
         assert_eq!(a.min(b), a);
         assert_eq!(a.max(b), b);
-        assert_eq!((-a).abs(), a);
     }
 
     #[test]

@@ -102,16 +102,6 @@ impl FluidGms {
         self.readjust_all();
     }
 
-    /// True if the task is currently runnable.
-    pub fn is_runnable(&self, id: TaskId) -> bool {
-        self.tasks.get(&id).is_some_and(|t| t.runnable)
-    }
-
-    /// The task's current instantaneous weight `φ_i`.
-    pub fn phi(&self, id: TaskId) -> Option<f64> {
-        self.tasks.get(&id).map(|t| t.phi)
-    }
-
     /// The task's current fluid service rate, in CPUs (0.0 ..= 1.0).
     pub fn rate(&self, id: TaskId) -> f64 {
         self.tasks.get(&id).map_or(0.0, self.rate_fn())
@@ -161,11 +151,6 @@ impl FluidGms {
                 .unwrap_or(0.0)
                 .round() as u64,
         )
-    }
-
-    /// Cumulative fluid service in fractional nanoseconds.
-    pub fn service_ns_f64(&self, id: TaskId) -> f64 {
-        self.tasks.get(&id).map(|t| t.service_ns).unwrap_or(0.0)
     }
 
     fn readjust_all(&mut self) {
@@ -236,8 +221,8 @@ mod tests {
         g.add(TaskId(3), weight(1), true);
         g.add(TaskId(4), weight(1), true);
         g.advance(Duration::from_secs(6));
-        let a1 = g.service_ns_f64(TaskId(1));
-        let a2 = g.service_ns_f64(TaskId(2));
+        let a1 = g.service(TaskId(1)).as_nanos() as f64;
+        let a2 = g.service(TaskId(2)).as_nanos() as f64;
         assert_close(a1 / a2, 3.0, 1e-9, "A1/A2 = phi1/phi2");
     }
 

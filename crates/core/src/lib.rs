@@ -88,8 +88,8 @@ pub mod stride;
 mod tagq;
 pub mod task;
 pub mod taskmap;
-#[doc(hidden)]
-pub mod testkit;
+#[cfg(test)]
+mod testkit;
 pub mod time;
 pub mod timeshare;
 pub mod wfq;

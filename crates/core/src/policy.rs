@@ -384,11 +384,6 @@ impl PolicySpec {
         self.kind
     }
 
-    /// The configured quantum, if overridden.
-    pub fn quantum(&self) -> Option<Duration> {
-        self.quantum
-    }
-
     /// Sets the scheduling quantum.
     ///
     /// # Panics
@@ -1073,7 +1068,6 @@ mod tests {
     #[test]
     fn parse_examples_from_the_docs() {
         let spec: PolicySpec = "sfs:quantum=5ms".parse().unwrap();
-        assert_eq!(spec.quantum(), Some(Duration::from_millis(5)));
         assert_eq!(spec.to_string(), "sfs:quantum=5ms");
         let spec: PolicySpec = "sfq:quantum=1ms,readjust".parse().unwrap();
         assert_eq!(spec.to_string(), "sfq:quantum=1ms,readjust");

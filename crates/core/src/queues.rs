@@ -674,7 +674,7 @@ mod tests {
         });
         l.check_invariants();
         assert!(moved > 0);
-        let keys: Vec<i64> = l.iter().map(|(k, _)| k.trunc()).collect();
+        let keys: Vec<Fixed> = l.iter().map(|(k, _)| k).collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);

@@ -68,12 +68,6 @@ pub struct Readjustment {
 }
 
 impl Readjustment {
-    /// A pass that found every weight feasible.
-    pub const UNCHANGED: Readjustment = Readjustment {
-        clamped: 0,
-        cap: None,
-    };
-
     /// Returns the instantaneous weight `φ_i` for the thread at
     /// `rank` (0-based position in the weight-descending order) whose raw
     /// weight is `w`.
@@ -314,7 +308,7 @@ pub(crate) mod oracle {
         // leaves this case undefined.
         let adj = readjust(weights_desc, cpus);
         if adj.clamped == weights_desc.len() && !weights_desc.is_empty() {
-            return vec![Fixed::ONE; weights_desc.len()];
+            return vec![Fixed::from_int(1); weights_desc.len()];
         }
         let mut w: Vec<Ratio> = weights_desc
             .iter()
@@ -350,6 +344,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// What a pass that found every weight feasible returns.
+    const NOTHING_CLAMPED: Readjustment = Readjustment {
+        clamped: 0,
+        cap: None,
+    };
+
     fn phis(weights_desc: &[u64], cpus: u32) -> Vec<Fixed> {
         apply(weights_desc, &readjust(weights_desc, cpus))
     }
@@ -359,7 +359,7 @@ mod tests {
         // 1:1:2 on two CPUs is feasible (max share 1/2).
         let w = [2, 1, 1];
         assert!(is_feasible(&w, 2));
-        assert_eq!(readjust(&w, 2), Readjustment::UNCHANGED);
+        assert_eq!(readjust(&w, 2), NOTHING_CLAMPED);
     }
 
     #[test]
@@ -392,7 +392,7 @@ mod tests {
     fn uniprocessor_never_clamps() {
         let w = [1_000_000, 1];
         assert!(is_feasible(&w, 1));
-        assert_eq!(readjust(&w, 1), Readjustment::UNCHANGED);
+        assert_eq!(readjust(&w, 1), NOTHING_CLAMPED);
     }
 
     #[test]
@@ -464,13 +464,13 @@ mod tests {
         let w = [10];
         let adj = readjust(&w, 2);
         assert_eq!(adj.clamped, 1);
-        assert_eq!(adj.cap, Some(Fixed::ONE));
+        assert_eq!(adj.cap, Some(Fixed::from_int(1)));
 
         // Two threads with wild weights on four CPUs.
         let w = [1_000, 1];
         let adj = readjust(&w, 4);
         assert_eq!(adj.clamped, 2);
-        assert_eq!(adj.cap, Some(Fixed::ONE));
+        assert_eq!(adj.cap, Some(Fixed::from_int(1)));
     }
 
     #[test]

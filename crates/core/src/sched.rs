@@ -94,7 +94,7 @@ pub struct SchedStats {
     pub events: u64,
     /// Data-structure steps consumed across all events: queue search
     /// hops plus readjustment bookkeeping. `event_steps / events` is the
-    /// measured per-event cost; the `repro churn` sweep tracks it
+    /// measured per-event cost; `tests/scaling_guards.rs` tracks it
     /// against the runnable-set size.
     pub event_steps: u64,
     /// Ready tasks migrated between run-queue shards by an idle

@@ -84,6 +84,10 @@ fn duration_fx(d: Duration) -> Fixed {
     Fixed::from_raw(d.as_nanos() as i128 * SCALE)
 }
 
+/// Minimum surplus advantage (in CPU time) a wakeup needs before it
+/// preempts a running thread, to avoid thrashing.
+const PREEMPT_MARGIN: Duration = Duration::from_micros(100);
+
 /// Tuning knobs for [`Sfs`].
 #[derive(Debug, Clone)]
 pub struct SfsConfig {
@@ -98,13 +102,6 @@ pub struct SfsConfig {
     /// start tag from every tag and reset the virtual time (§3.2
     /// wrap-around handling).
     pub renorm_threshold: Fixed,
-    /// Allow wakeups to preempt a running thread whose surplus (charged
-    /// with its in-flight CPU time) exceeds the woken thread's surplus.
-    /// The kernel port inherits this from Linux's `reschedule_idle`.
-    pub wake_preemption: bool,
-    /// Minimum surplus advantage (in CPU time) a wakeup needs before it
-    /// preempts, to avoid thrashing.
-    pub preempt_margin: Duration,
     /// Audit every heuristic pick against the exact choice (Fig. 3).
     pub audit_heuristic: bool,
     /// Processor-affinity extension (§5 future work): when picking for
@@ -125,8 +122,6 @@ impl Default for SfsConfig {
             quantum: Duration::from_millis(200),
             heuristic: None,
             renorm_threshold: Fixed::from_int(100_000_000_000_000),
-            wake_preemption: true,
-            preempt_margin: Duration::from_micros(100),
             audit_heuristic: false,
             affinity_margin: None,
             phi_snapshot: None,
@@ -210,17 +205,6 @@ impl Sfs {
         Sfs::with_config(cpus, SfsConfig::default())
     }
 
-    /// Creates an SFS instance using the §3.2 heuristic with lookahead `k`.
-    pub fn heuristic(cpus: u32, k: usize) -> Sfs {
-        Sfs::with_config(
-            cpus,
-            SfsConfig {
-                heuristic: Some(k),
-                ..SfsConfig::default()
-            },
-        )
-    }
-
     /// Creates an SFS instance with explicit configuration.
     ///
     /// # Panics
@@ -229,7 +213,7 @@ impl Sfs {
     pub fn with_config(cpus: u32, cfg: SfsConfig) -> Sfs {
         assert!(cpus > 0, "need at least one processor");
         let affinity_margin_fx = cfg.affinity_margin.map(duration_fx);
-        let preempt_margin_fx = duration_fx(cfg.preempt_margin);
+        let preempt_margin_fx = duration_fx(PREEMPT_MARGIN);
         let gcell = cfg.phi_snapshot.clone();
         let gsnap = gcell.as_ref().map(|c| c.load());
         Sfs {
@@ -467,11 +451,6 @@ impl Sfs {
     /// Immutable view of a task's tag state, for tests and tracing.
     pub fn tags_of(&self, id: TaskId) -> Option<&TagTask> {
         self.tasks.get(&id).map(|e| &e.task)
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SfsConfig {
-        &self.cfg
     }
 
     /// Asserts the §2.3 structural invariants; test helper.
@@ -785,9 +764,6 @@ impl Scheduler for Sfs {
         ran_so_far: Duration,
         _now: Time,
     ) -> bool {
-        if !self.cfg.wake_preemption {
-            return false;
-        }
         let (Some(we), Some(re)) = (self.tasks.get(&woken), self.tasks.get(&running)) else {
             return false;
         };
@@ -959,7 +935,7 @@ mod tests {
         sim.run_quanta(100);
         // T2 must NOT monopolise the CPU to "catch up": its start tag was
         // floored at v. Both should get ~half of the last 100 quanta.
-        let t1_gain = (sim.service(1) - t1_before).as_millis() as f64;
+        let t1_gain = (sim.service(1) - t1_before).as_millis_f64();
         assert_close(t1_gain, 50.0, 0.15, "no sleeper credit");
         sim.sched.check_invariants();
     }
@@ -1020,7 +996,13 @@ mod tests {
             picks
         };
         let exact = run(Sfs::new(1));
-        let heur = run(Sfs::heuristic(1, 64));
+        let heur = run(Sfs::with_config(
+            1,
+            SfsConfig {
+                heuristic: Some(64),
+                ..SfsConfig::default()
+            },
+        ));
         assert_eq!(exact, heur);
     }
 

@@ -34,8 +34,8 @@
 //! passes the imbalance is bounded by the weight churn of one window,
 //! so a task's service rate deviates from the global scheduler's by at
 //! most the relative load gap of its shard over one rebalance window —
-//! the bound the differential test (`tests/shard_differential.rs`) and
-//! the `repro scale` fairness sweep check.
+//! the bound the differential test (`tests/shard_differential.rs`)
+//! checks.
 //!
 //! **Global feasibility.** The §2.1 infeasible-weight readjustment is
 //! inherently global: a weight can be infeasible on the whole machine
@@ -246,7 +246,8 @@ struct BalTask {
 /// and the [`SnapshotCell`] publication of the clamp state.
 ///
 /// Substrates that lock shards independently (the rt executor, the
-/// `repro scale` driver) keep exactly one `Balancer` behind one lock;
+/// `tests/perf_guards.rs` shard driver) keep exactly one `Balancer`
+/// behind one lock;
 /// it is touched only on runnable-set changes (arrival, block, wake,
 /// exit, reweight) and rebalance — never on the per-shard pick path.
 #[derive(Debug)]
@@ -274,11 +275,6 @@ impl Balancer {
             shard_cpus: (0..layout.shards()).map(|s| layout.shard_cpus(s)).collect(),
             tenant_home: HashMap::new(),
         }
-    }
-
-    /// The snapshot cell shard policies subscribe to.
-    pub fn cell(&self) -> &Arc<SnapshotCell> {
-        &self.cell
     }
 
     /// Adjusted-weight load per processor of shard `s`.
@@ -696,16 +692,6 @@ impl ShardedScheduler {
     /// global balancer, for substrates that lock shards independently.
     pub fn into_parts(self) -> (ShardLayout, Vec<Box<dyn Scheduler>>, Balancer) {
         (self.layout, self.shards, self.bal)
-    }
-
-    /// The shard layout.
-    pub fn layout(&self) -> &ShardLayout {
-        &self.layout
-    }
-
-    /// Read access to one shard's policy (tests and tracing).
-    pub fn shard(&self, s: usize) -> &dyn Scheduler {
-        self.shards[s].as_ref()
     }
 
     fn home(&self, id: TaskId) -> usize {

@@ -129,7 +129,7 @@ mod tests {
         // The newcomer shares from its arrival onward; it must not be
         // starved nor monopolise.
         let s2 = sim.service(2);
-        assert_close(s2.as_millis() as f64, 50.0, 0.1, "half of 100 quanta");
+        assert_close(s2.as_millis_f64(), 50.0, 0.1, "half of 100 quanta");
     }
 
     #[test]

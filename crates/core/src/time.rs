@@ -28,11 +28,6 @@ impl Time {
         Time(ms * 1_000_000)
     }
 
-    /// Constructs an instant from whole microseconds.
-    pub const fn from_micros(us: u64) -> Time {
-        Time(us * 1_000)
-    }
-
     /// Constructs an instant from whole seconds.
     pub const fn from_secs(s: u64) -> Time {
         Time(s * 1_000_000_000)
@@ -52,11 +47,6 @@ impl Time {
     /// is in the future.
     pub fn since(self, earlier: Time) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: Duration) -> Option<Time> {
-        self.0.checked_add(d.0).map(Time)
     }
 }
 
@@ -91,16 +81,6 @@ impl Duration {
         self.0
     }
 
-    /// Returns the duration in whole microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Returns the duration in whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Returns the duration as fractional seconds (for reporting only).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -129,11 +109,6 @@ impl Duration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: Duration) -> Duration {
         Duration(self.0.saturating_sub(other.0))
-    }
-
-    /// Checked multiplication by an integer scale.
-    pub fn checked_mul(self, k: u64) -> Option<Duration> {
-        self.0.checked_mul(k).map(Duration)
     }
 
     /// Converts to a [`std::time::Duration`] for interop with the host OS.
@@ -293,10 +268,9 @@ mod tests {
     #[test]
     fn constructors_scale_correctly() {
         assert_eq!(Time::from_millis(3).as_nanos(), 3_000_000);
-        assert_eq!(Time::from_micros(7).as_nanos(), 7_000);
         assert_eq!(Time::from_secs(2).as_nanos(), 2_000_000_000);
-        assert_eq!(Duration::from_millis(200).as_millis(), 200);
-        assert_eq!(Duration::from_secs(1).as_micros(), 1_000_000);
+        assert_eq!(Duration::from_millis(200).as_nanos(), 200_000_000);
+        assert_eq!(Duration::from_secs(1), Duration::from_micros(1_000_000));
     }
 
     #[test]
@@ -325,11 +299,6 @@ mod tests {
         assert_eq!(Duration::ZERO - Duration::from_secs(1), Duration::ZERO);
         assert_eq!(Time::MAX + Duration::from_secs(1), Time::MAX);
         assert_eq!(Duration::MAX + Duration::from_secs(1), Duration::MAX);
-        assert_eq!(Time::MAX.checked_add(Duration::from_nanos(1)), None);
-        assert_eq!(
-            Time::ZERO.checked_add(Duration::from_nanos(1)),
-            Some(Time(1))
-        );
     }
 
     #[test]

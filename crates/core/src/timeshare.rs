@@ -41,15 +41,12 @@ pub const DEFAULT_PRIORITY: i64 = 20;
 pub struct TimeSharingConfig {
     /// Ticks granted per epoch to every task (the `priority` field).
     pub priority_ticks: i64,
-    /// Enable wakeup preemption (`reschedule_idle`).
-    pub wake_preemption: bool,
 }
 
 impl Default for TimeSharingConfig {
     fn default() -> TimeSharingConfig {
         TimeSharingConfig {
             priority_ticks: DEFAULT_PRIORITY,
-            wake_preemption: true,
         }
     }
 }
@@ -226,9 +223,6 @@ impl Scheduler for TimeSharing {
         ran_so_far: Duration,
         _now: Time,
     ) -> bool {
-        if !self.cfg.wake_preemption {
-            return false;
-        }
         let (Some(w), Some(r)) = (self.tasks.get(&woken), self.tasks.get(&running)) else {
             return false;
         };

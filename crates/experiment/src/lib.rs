@@ -160,11 +160,6 @@ impl Experiment {
         }
     }
 
-    /// The scenario under experiment.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
     /// Runs the scenario under one policy. Accepts anything convertible
     /// to a [`PolicySpec`]: a spec, a borrow of one, or its string form
     /// (`"sfs:quantum=5ms"`).
@@ -402,6 +397,28 @@ mod tests {
         assert!(
             matches!(err, ExperimentError::Scenario(ScenarioError::NoCpus)),
             "{err}"
+        );
+    }
+
+    /// A capture is input from a file: one hand-edited to a zero
+    /// sampling period must come back as the typed error, not hang the
+    /// engine on a `Sample` event that re-arms at the same tick.
+    #[test]
+    fn replay_of_capture_with_zero_sample_period_is_a_typed_error() {
+        let cap = Capture {
+            scenario: scenario(),
+            policy: "sfs:quantum=10ms".parse().unwrap(),
+            trace: EventTrace::new(TraceMeta::default()),
+        };
+        let period = cap.scenario.config.sample_every.as_nanos();
+        let text = cap.to_json().to_string();
+        let edited = text.replace(&format!("\"sample_every\":{period}"), "\"sample_every\":0");
+        assert_ne!(edited, text, "capture JSON carries the sampling period");
+        let cap = Capture::from_json(&sfs_trace::Json::parse(&edited).unwrap()).unwrap();
+        let err = Experiment::replay(&cap).unwrap_err();
+        assert_eq!(
+            err,
+            ExperimentError::Scenario(ScenarioError::ZeroSamplePeriod)
         );
     }
 

@@ -1,6 +1,5 @@
 //! Time series: ordered `(x, y)` samples with the reductions the
-//! experiment harnesses need (cumulative curves, windowed rates,
-//! resampling onto a fixed grid).
+//! experiment harnesses need (interpolation, unit scaling).
 
 /// An ordered series of `(x, y)` samples. `x` is typically seconds.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -35,29 +34,9 @@ impl TimeSeries {
         self.points.push((x, y));
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if the series has no samples.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// The samples.
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
-    }
-
-    /// The final sample, if any.
-    pub fn last(&self) -> Option<(f64, f64)> {
-        self.points.last().copied()
-    }
-
-    /// Largest y value (0.0 for an empty series).
-    pub fn max_y(&self) -> f64 {
-        self.points.iter().map(|p| p.1).fold(0.0, f64::max)
     }
 
     /// Linear interpolation of y at `x`; clamps outside the domain.
@@ -84,37 +63,6 @@ impl TimeSeries {
         }
     }
 
-    /// The discrete derivative: rate of change between consecutive
-    /// samples, reported at the right edge of each interval.
-    pub fn rate(&self) -> TimeSeries {
-        let mut out = TimeSeries::new(format!("{}' ", self.name));
-        for w in self.points.windows(2) {
-            let (x0, y0) = w[0];
-            let (x1, y1) = w[1];
-            if x1 > x0 {
-                out.push(x1, (y1 - y0) / (x1 - x0));
-            }
-        }
-        out
-    }
-
-    /// Resamples onto a uniform grid of `n` points over `[x0, x1]`.
-    pub fn resample(&self, x0: f64, x1: f64, n: usize) -> TimeSeries {
-        let mut out = TimeSeries::new(self.name.clone());
-        if n == 0 {
-            return out;
-        }
-        for i in 0..n {
-            let x = if n == 1 {
-                x0
-            } else {
-                x0 + (x1 - x0) * i as f64 / (n - 1) as f64
-            };
-            out.push(x, self.at(x));
-        }
-        out
-    }
-
     /// Scales every y value by `k` (unit conversions).
     pub fn scaled(&self, k: f64) -> TimeSeries {
         let mut out = TimeSeries::new(self.name.clone());
@@ -122,14 +70,6 @@ impl TimeSeries {
             out.push(x, y * k);
         }
         out
-    }
-
-    /// Mean of y over all samples (0.0 for an empty series).
-    pub fn mean_y(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|p| p.1).sum::<f64>() / self.points.len() as f64
     }
 }
 
@@ -148,10 +88,8 @@ mod tests {
     #[test]
     fn push_and_inspect() {
         let t = s(&[(0.0, 0.0), (1.0, 2.0), (2.0, 6.0)]);
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.last(), Some((2.0, 6.0)));
-        assert_eq!(t.max_y(), 6.0);
-        assert_eq!(t.mean_y(), 8.0 / 3.0);
+        assert_eq!(t.name(), "t");
+        assert_eq!(t.points(), &[(0.0, 0.0), (1.0, 2.0), (2.0, 6.0)]);
     }
 
     #[test]
@@ -168,21 +106,6 @@ mod tests {
         assert_eq!(t.at(1.0), 2.0);
         assert_eq!(t.at(-1.0), 0.0); // clamped
         assert_eq!(t.at(5.0), 4.0); // clamped
-    }
-
-    #[test]
-    fn rate_of_cumulative_counter() {
-        let t = s(&[(0.0, 0.0), (1.0, 10.0), (2.0, 30.0)]);
-        let r = t.rate();
-        assert_eq!(r.points(), &[(1.0, 10.0), (2.0, 20.0)]);
-    }
-
-    #[test]
-    fn resample_uniform_grid() {
-        let t = s(&[(0.0, 0.0), (4.0, 8.0)]);
-        let r = t.resample(0.0, 4.0, 5);
-        assert_eq!(r.len(), 5);
-        assert_eq!(r.points()[2], (2.0, 4.0));
     }
 
     #[test]

@@ -1,84 +1,9 @@
-//! Summary statistics: online mean/variance and percentile summaries.
-
-/// Welford's online mean/variance accumulator.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> OnlineStats {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample standard deviation (0.0 for fewer than two observations).
-    pub fn stddev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation (0.0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0.0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
+//! Summary statistics: mean and percentile summaries.
 
 /// A percentile summary over a batch of observations.
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
     sorted: Vec<f64>,
-    stats: OnlineStats,
 }
 
 impl Summary {
@@ -86,11 +11,7 @@ impl Summary {
     pub fn from(values: impl IntoIterator<Item = f64>) -> Summary {
         let mut sorted: Vec<f64> = values.into_iter().collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in summary"));
-        let mut stats = OnlineStats::new();
-        for &v in &sorted {
-            stats.push(v);
-        }
-        Summary { sorted, stats }
+        Summary { sorted }
     }
 
     /// Number of observations.
@@ -98,24 +19,12 @@ impl Summary {
         self.sorted.len()
     }
 
-    /// Mean.
+    /// Mean (0.0 when empty).
     pub fn mean(&self) -> f64 {
-        self.stats.mean()
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.stats.stddev()
-    }
-
-    /// Minimum (0.0 when empty).
-    pub fn min(&self) -> f64 {
-        self.stats.min()
-    }
-
-    /// Maximum (0.0 when empty).
-    pub fn max(&self) -> f64 {
-        self.stats.max()
+        if self.sorted.is_empty() {
+            return 0.0;
+        }
+        self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
     }
 
     /// Percentile in `[0, 100]` by nearest-rank with interpolation.
@@ -147,28 +56,10 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn online_matches_batch() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 10.0];
-        let mut o = OnlineStats::new();
-        for x in xs {
-            o.push(x);
-        }
-        assert_eq!(o.count(), 5);
-        assert!((o.mean() - 4.0).abs() < 1e-12);
-        assert_eq!(o.min(), 1.0);
-        assert_eq!(o.max(), 10.0);
-        // Sample stddev of [1,2,3,4,10] = sqrt(50/4).
-        assert!((o.stddev() - (12.5f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_stats_are_zero() {
-        let o = OnlineStats::new();
-        assert_eq!(o.mean(), 0.0);
-        assert_eq!(o.stddev(), 0.0);
-        assert_eq!(o.min(), 0.0);
-        assert_eq!(o.max(), 0.0);
         let s = Summary::from([]);
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.mean(), 0.0);
         assert_eq!(s.percentile(50.0), 0.0);
     }
 
@@ -186,7 +77,6 @@ mod tests {
         let s = Summary::from([7.0]);
         assert_eq!(s.median(), 7.0);
         assert_eq!(s.mean(), 7.0);
-        assert_eq!(s.stddev(), 0.0);
     }
 
     proptest! {
@@ -202,8 +92,8 @@ mod tests {
         #[test]
         fn mean_within_min_max(xs in proptest::collection::vec(-1e6f64..1e6, 1..100)) {
             let s = Summary::from(xs);
-            prop_assert!(s.mean() >= s.min() - 1e-9);
-            prop_assert!(s.mean() <= s.max() + 1e-9);
+            prop_assert!(s.mean() >= s.percentile(0.0) - 1e-9);
+            prop_assert!(s.mean() <= s.percentile(100.0) + 1e-9);
         }
     }
 }

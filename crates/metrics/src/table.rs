@@ -27,23 +27,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of displayable items.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Table {
-        self.rows
-            .push(cells.iter().map(ToString::to_string).collect());
-        self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     fn widths(&self) -> Vec<usize> {
         let cols = self
             .header
@@ -88,28 +71,6 @@ impl Table {
         out
     }
 
-    /// Renders as a GitHub-flavoured markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        if !self.title.is_empty() {
-            let _ = writeln!(out, "**{}**\n", self.title);
-        }
-        let _ = writeln!(out, "| {} |", self.header.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.header
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for r in &self.rows {
-            let _ = writeln!(out, "| {} |", r.join(" | "));
-        }
-        out
-    }
-
     /// Renders as CSV (RFC-4180-ish; quotes cells containing commas).
     pub fn to_csv(&self) -> String {
         let esc = |c: &str| -> String {
@@ -140,11 +101,6 @@ impl Table {
     }
 }
 
-/// Formats a float with `digits` decimals (helper for table cells).
-pub fn fnum(v: f64, digits: usize) -> String {
-    format!("{v:.digits$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,34 +125,11 @@ mod tests {
     }
 
     #[test]
-    fn markdown_shape() {
-        let md = sample().to_markdown();
-        assert!(md.contains("| name | value |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| alpha | 1.5 |"));
-    }
-
-    #[test]
     fn csv_escaping() {
         let mut t = Table::new("", &["a", "b"]);
         t.row(&["x,y".into(), "he said \"hi\"".into()]);
         let csv = t.to_csv();
         assert!(csv.contains("\"x,y\""));
         assert!(csv.contains("\"he said \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn fnum_formats() {
-        assert_eq!(fnum(1.23456, 2), "1.23");
-        assert_eq!(fnum(10.0, 0), "10");
-    }
-
-    #[test]
-    fn row_display_converts() {
-        let mut t = Table::new("", &["n"]);
-        t.row_display(&[42]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
-        assert!(t.to_text().contains("42"));
     }
 }

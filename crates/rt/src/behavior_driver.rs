@@ -13,30 +13,9 @@ use sfs_workloads::{Behavior, Phase};
 
 use crate::executor::TaskCtx;
 
-/// Statistics from driving a behaviour to completion (or until stop).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DriveStats {
-    /// Completed compute phases (frames, requests, jobs).
-    pub completions: u64,
-    /// Total response time (wake → compute completion), nanoseconds.
-    pub response_ns_total: u64,
-    /// Number of response samples.
-    pub responses: u64,
-}
-
-impl DriveStats {
-    /// Mean response time, if any responses were recorded.
-    pub fn mean_response(&self) -> Option<Duration> {
-        self.response_ns_total
-            .checked_div(self.responses)
-            .map(Duration::from_nanos)
-    }
-}
-
-/// Full per-phase record from driving a behaviour: everything in
-/// [`DriveStats`] plus the individual response samples (for percentile
-/// summaries) and how the drive ended, as the common experiment
-/// reports need.
+/// Full per-phase record from driving a behaviour: completions, the
+/// individual response samples (for percentile summaries) and how the
+/// drive ended, as the common experiment reports need.
 #[derive(Debug, Clone, Default)]
 pub struct DriveRecord {
     /// Completed compute phases (frames, requests, jobs).
@@ -132,34 +111,15 @@ fn drive_loop(
     }
 }
 
-/// Executes a behaviour on the current task until it exits or the
-/// executor is stopped. Returns the accumulated statistics in constant
-/// space (no per-sample allocation).
+/// Executes a behaviour on the current task until it exits, the
+/// executor is stopped, or the optional kill deadline passes: once the
+/// epoch-relative clock reaches `deadline` the drive aborts — mid-phase,
+/// without crediting the cut-off phase as a completion — mirroring the
+/// simulator's kill event for `TaskSpec::stop_at`.
 ///
 /// `Compute(d)` phases consume *virtual-CPU hold time*: the spin only
 /// counts progress while the task holds its grant, which checkpointing
 /// approximates closely for small quanta.
-pub fn drive(ctx: &TaskCtx, behavior: Box<dyn Behavior>, epoch: Instant) -> DriveStats {
-    let mut stats = DriveStats::default();
-    let (completions, _) = drive_loop(ctx, behavior, epoch, None, |response| {
-        stats.response_ns_total += response.as_nanos();
-        stats.responses += 1;
-    });
-    stats.completions = completions;
-    stats
-}
-
-/// Like [`drive`], but keeps the individual response samples and the
-/// completion flag (the experiment front-end builds its substrate-
-/// independent reports from this).
-pub fn drive_recording(ctx: &TaskCtx, behavior: Box<dyn Behavior>, epoch: Instant) -> DriveRecord {
-    drive_recording_until(ctx, behavior, epoch, None)
-}
-
-/// Like [`drive_recording`], with an optional kill deadline: once the
-/// epoch-relative clock reaches `deadline` the drive aborts — mid-phase,
-/// without crediting the cut-off phase as a completion — mirroring the
-/// simulator's kill event for `TaskSpec::stop_at`.
 pub fn drive_recording_until(
     ctx: &TaskCtx,
     behavior: Box<dyn Behavior>,
@@ -200,7 +160,7 @@ mod tests {
         let (tx, rx) = channel::bounded(1);
         let h = ex.spawn("job", weight(1), move |ctx| {
             let b = Box::new(FiniteLoop::new(Duration::from_millis(20)));
-            let st = drive(ctx, b, epoch);
+            let st = drive_recording_until(ctx, b, epoch, None);
             let _ = tx.send(st);
         });
         ex.wait();
@@ -226,7 +186,7 @@ mod tests {
         };
         let h = ex.spawn("interact", weight(1), move |ctx| {
             let b = spec.build(1);
-            let st = drive(ctx, b, epoch);
+            let st = drive_recording_until(ctx, b, epoch, None);
             let _ = tx.send(st);
         });
         std::thread::sleep(std::time::Duration::from_millis(150));
@@ -235,6 +195,6 @@ mod tests {
         h.join();
         let st = rx.recv().unwrap();
         assert!(st.completions >= 3, "completions: {}", st.completions);
-        assert!(st.mean_response().is_some());
+        assert!(!st.responses_ms.is_empty());
     }
 }

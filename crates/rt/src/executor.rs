@@ -26,8 +26,9 @@
 //! still-runnable path (checkpoint preemption, yield) takes only its
 //! own shard lock.
 //!
-//! This substrate is what the overhead experiments (Table 1, Fig. 7)
-//! and the `repro scale` sweep measure: every scheduler entry takes the
+//! This substrate is what the overhead experiments (Table 1, Fig. 7),
+//! the shard guard in `tests/perf_guards.rs` and the `benchmark/`
+//! `rt_ring` workload measure: every scheduler entry takes the
 //! same locks and runs the same policy code a kernel implementation
 //! would, so the *relative* costs of SFS vs time sharing — and of one
 //! global lock vs per-shard locks — are preserved, even though the
@@ -1289,11 +1290,6 @@ impl Executor {
         self.inner.wake_blocked(&task)
     }
 
-    /// Current time since executor start.
-    pub fn now(&self) -> Time {
-        self.inner.now()
-    }
-
     /// Number of run-queue shards.
     pub fn shards(&self) -> usize {
         self.inner.shards.len()
@@ -1310,15 +1306,6 @@ impl Executor {
         agg.shard_rebalances += self.inner.rebalances.load(Ordering::Relaxed); // relaxed: stats read
         agg.shard_wake_migrations += self.inner.wake_migrations.load(Ordering::Relaxed); // relaxed: stats read
         agg
-    }
-
-    /// Runs a closure against the first shard's scheduler (for stats
-    /// inspection; on a single-shard executor this is the whole
-    /// policy). Sharded executors aggregate via
-    /// [`Executor::sched_stats`].
-    pub fn with_scheduler<R>(&self, f: impl FnOnce(&dyn Scheduler) -> R) -> R {
-        let core = self.inner.shards[0].lock();
-        f(core.sched.as_ref())
     }
 
     /// Spawn attempts refused by admission control so far. Zero when
@@ -1616,9 +1603,8 @@ mod tests {
             }
         });
         ex.wait();
-        let picks = ex.with_scheduler(|s| s.stats().picks);
+        let picks = ex.sched_stats().picks;
         assert!(picks >= 10, "picks = {picks}");
-        assert!(ex.sched_stats().picks >= 10);
         h.join();
     }
 

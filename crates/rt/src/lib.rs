@@ -37,6 +37,6 @@ pub mod behavior_driver;
 pub mod executor;
 pub mod microbench;
 
-pub use behavior_driver::{drive, drive_recording, drive_recording_until, DriveRecord, DriveStats};
+pub use behavior_driver::{drive_recording_until, DriveRecord};
 pub use executor::{Executor, RtConfig, TaskCtx, TaskHandle};
 pub use microbench::{checkpoint_cost, ctx_switch_latency, spawn_cost};

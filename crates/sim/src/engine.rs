@@ -17,7 +17,8 @@
 //! ## Mega-scale internals
 //!
 //! Three structural choices keep the engine O(1)-ish per event at
-//! 10⁶–10⁷ tasks (the `repro mega` sweep):
+//! 10⁶–10⁷ tasks (guarded by `tests/scaling_guards.rs`,
+//! `tests/perf_guards.rs` and the `benchmark/` `churn` workload):
 //!
 //! * the event queue is a hierarchical [`TimingWheel`], not a binary
 //!   heap — O(1) amortized push/pop with the identical `(time, seq)`
@@ -369,29 +370,6 @@ impl Simulator {
     ) -> usize {
         let sym = self.trace.intern(name);
         self.schedule_arrival_inner(at, TaskLabel { sym, replica: 0 }, weight, spec, None, None)
-    }
-
-    /// Schedules a task arrival bound to a tenant group. The task
-    /// attaches via [`Scheduler::attach_tenant`], so hierarchical
-    /// policies account it to that group; flat policies ignore the
-    /// binding. Returns the arrival index.
-    pub fn schedule_arrival_tenant(
-        &mut self,
-        at: Time,
-        name: &str,
-        weight: Weight,
-        spec: BehaviorSpec,
-        tenant: Option<TenantId>,
-    ) -> usize {
-        let sym = self.trace.intern(name);
-        self.schedule_arrival_inner(
-            at,
-            TaskLabel { sym, replica: 0 },
-            weight,
-            spec,
-            tenant,
-            None,
-        )
     }
 
     /// Interns a base name for replica arrivals

@@ -47,6 +47,9 @@ pub enum ScenarioError {
     },
     /// The machine has no processors.
     NoCpus,
+    /// The sampling period is zero: the engine re-arms its `Sample`
+    /// event at `now + sample_every`, so the run would never advance.
+    ZeroSamplePeriod,
 }
 
 impl fmt::Display for ScenarioError {
@@ -65,6 +68,12 @@ impl fmt::Display for ScenarioError {
                 write!(f, "tenant {tenant:?} declares no tasks")
             }
             ScenarioError::NoCpus => write!(f, "scenario machine has zero processors"),
+            ScenarioError::ZeroSamplePeriod => {
+                write!(
+                    f,
+                    "sample_every is zero (the sampling period must be positive)"
+                )
+            }
         }
     }
 }
@@ -169,20 +178,6 @@ impl StreamSpec {
         }
     }
 
-    /// Sets the first job's arrival time.
-    #[must_use]
-    pub fn starting_at(mut self, t: Time) -> StreamSpec {
-        self.first = t;
-        self
-    }
-
-    /// Sets the gap between a job's exit and the next arrival.
-    #[must_use]
-    pub fn with_gap(mut self, gap: Duration) -> StreamSpec {
-        self.gap = gap;
-        self
-    }
-
     /// Stops issuing jobs at or after this instant.
     #[must_use]
     pub fn until(mut self, t: Time) -> StreamSpec {
@@ -284,11 +279,15 @@ impl Scenario {
     }
 
     /// Checks the scenario for structural errors (zero weights, empty
-    /// machine) without running it. Substrates call this up front so a
-    /// malformed description fails fast with a typed error.
+    /// machine, zero sampling period) without running it. Substrates
+    /// call this up front so a malformed description fails fast with a
+    /// typed error.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.config.cpus == 0 {
             return Err(ScenarioError::NoCpus);
+        }
+        if self.config.sample_every.is_zero() {
+            return Err(ScenarioError::ZeroSamplePeriod);
         }
         for spec in &self.tasks {
             if spec.weight == 0 {
@@ -504,6 +503,25 @@ mod tests {
             .try_run(sfs(1))
             .unwrap_err();
         assert_eq!(err, ScenarioError::ZeroStreamWeight { stream: "s".into() });
+    }
+
+    /// `validate` only: with a zero period the engine re-arms its
+    /// `Sample` event at the same tick forever, so this must never
+    /// reach `run`.
+    #[test]
+    fn zero_sample_period_is_a_typed_error() {
+        let cfg = SimConfig {
+            cpus: 1,
+            duration: Duration::from_millis(10),
+            sample_every: Duration::ZERO,
+            ..SimConfig::default()
+        };
+        let err = Scenario::new("bad", cfg)
+            .task(TaskSpec::new("t", 1, BehaviorSpec::Inf))
+            .validate()
+            .unwrap_err();
+        assert_eq!(err, ScenarioError::ZeroSamplePeriod);
+        assert!(err.to_string().contains("sample_every"));
     }
 
     #[test]

@@ -239,18 +239,9 @@ impl Trace {
         }
     }
 
-    /// Total service charged to a task so far.
-    pub fn service_of(&self, id: TaskId) -> Duration {
-        self.tasks
-            .get(id.0 as usize - 1)
-            .and_then(Option::as_ref)
-            .map(|t| t.service)
-            .unwrap_or(Duration::ZERO)
-    }
-
     /// Finalises into a report. `engine_events` is the number of
-    /// discrete events the simulator processed (the denominator of the
-    /// mega sweep's ns/event metric).
+    /// discrete events the simulator processed (the denominator of
+    /// every ns/event metric).
     pub fn into_report(
         self,
         sched_name: &str,
@@ -377,13 +368,6 @@ pub struct TaskReport {
 }
 
 impl TaskReport {
-    /// The task's iterations as a time series (Figs. 4/5 y-axis), i.e.
-    /// the service curve scaled by the iteration cost.
-    pub fn iteration_series(&self, iteration_cost: Duration) -> TimeSeries {
-        self.series
-            .scaled(1e9 / iteration_cost.as_nanos().max(1) as f64)
-    }
-
     /// Mean completion rate over the task's lifetime (e.g. frames/sec).
     pub fn completion_rate(&self, run_end: Time) -> f64 {
         let end = self.exited.unwrap_or(run_end);

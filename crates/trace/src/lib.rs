@@ -25,11 +25,6 @@
 //!   seeds, and `sfs_experiment::Experiment::replay` re-drives the sim
 //!   from the capture for lockstep context-switch comparison.
 //!
-//! For runs too large to hold in memory, [`stream::ChunkSink`] and
-//! [`TraceRecorder::streaming`] flush completed event chunks to disk
-//! while the run is in flight; [`PerfettoStream`] and [`JsonlStream`]
-//! produce the same exports incrementally.
-//!
 //! Recording is off by default everywhere. A disabled recorder
 //! ([`TraceRecorder::off`]) reduces every instrumentation hook to one
 //! relaxed atomic load, so the rt executor's hot path is unaffected
@@ -39,7 +34,6 @@ pub mod event;
 pub mod json;
 pub mod perfetto;
 pub mod recorder;
-pub mod stream;
 
 pub use event::{
     CounterTrack, EventTrace, MigrateKind, TaskMeta, TraceError, TraceEvent, TraceMeta,
@@ -47,4 +41,3 @@ pub use event::{
 pub use json::Json;
 pub use perfetto::PerfettoStats;
 pub use recorder::TraceRecorder;
-pub use stream::{ChunkSink, JsonlStream, PerfettoStream};

@@ -36,7 +36,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use sfs_core::task::TaskId;
 
-use crate::event::{CounterTrack, EventTrace, TaskMeta, TraceError, TraceEvent, TraceMeta};
+use crate::event::{CounterTrack, EventTrace, TraceError, TraceEvent, TraceMeta};
 
 const WIRE_VARINT: u64 = 0;
 const WIRE_FIXED64: u64 = 1;
@@ -143,72 +143,18 @@ fn counter_track_key(track: CounterTrack) -> u64 {
     }
 }
 
-/// An incremental Perfetto encoder: feed it task registrations and
-/// event chunks as they complete and it appends self-contained packets.
-/// Concatenating the chunk outputs yields exactly one valid `Trace`
-/// protobuf — length-delimited packets are concatenable, so a streaming
-/// writer ([`crate::stream::PerfettoStream`]) can flush each chunk to
-/// disk while a run is still in flight.
-///
-/// Track descriptors are emitted lazily: the fixed tracks (CPUs, sched
-/// events) go out with the first chunk, and each counter track's
-/// descriptor precedes its first sample. Whole-trace
-/// [`encode`] is a one-chunk wrapper over this type.
-pub struct Encoder {
-    meta: TraceMeta,
-    names: HashMap<TaskId, String>,
+/// Per-trace encoding state: task names for slice and instant labels,
+/// and which counter tracks already have a descriptor (each one's
+/// descriptor precedes its first sample).
+struct Encoder<'a> {
+    meta: &'a TraceMeta,
+    names: HashMap<TaskId, &'a str>,
     counters_declared: BTreeSet<u64>,
-    header_done: bool,
 }
 
-impl Encoder {
-    /// A fresh encoder for one trace.
-    pub fn new(meta: TraceMeta) -> Encoder {
-        Encoder {
-            meta,
-            names: HashMap::new(),
-            counters_declared: BTreeSet::new(),
-            header_done: false,
-        }
-    }
-
-    /// Registers tasks; call before encoding any chunk referencing
-    /// them, so slices and instants can be named.
-    pub fn add_tasks(&mut self, tasks: &[TaskMeta]) {
-        for t in tasks {
-            self.names.insert(t.id, t.name.clone());
-        }
-    }
-
+impl Encoder<'_> {
     fn name_of(&self, id: TaskId) -> &str {
-        self.names.get(&id).map_or("<unregistered>", String::as_str)
-    }
-
-    /// Appends the packets for one chunk of events to `out`. The first
-    /// call also emits the fixed track descriptors.
-    pub fn encode_chunk(&mut self, events: &[TraceEvent], out: &mut Vec<u8>) {
-        if !self.header_done {
-            self.header_done = true;
-            for cpu in 0..self.meta.cpus.max(1) {
-                put_len_field(
-                    out,
-                    1,
-                    &track_descriptor_packet(
-                        CPU_TRACK_BASE + u64::from(cpu),
-                        &format!("cpu {cpu} ({})", self.meta.substrate),
-                        false,
-                    ),
-                );
-            }
-            put_len_field(
-                out,
-                1,
-                &track_descriptor_packet(EVENTS_TRACK, "sched events", false),
-            );
-        }
-        for ev in events {
-            self.encode_event(ev, out);
-        }
+        self.names.get(&id).copied().unwrap_or("<unregistered>")
     }
 
     fn encode_event(&mut self, ev: &TraceEvent, out: &mut Vec<u8>) {
@@ -234,7 +180,7 @@ impl Encoder {
                 if self.counters_declared.insert(key) {
                     packet(&track_descriptor_packet(
                         COUNTER_TRACK_BASE + key,
-                        &track.label(&self.meta),
+                        &track.label(self.meta),
                         true,
                     ));
                 }
@@ -297,12 +243,40 @@ impl Encoder {
 }
 
 /// Encodes a trace as a Perfetto `Trace` protobuf, ready to be written
-/// to a `.perfetto-trace` file and opened in the Perfetto UI.
+/// to a `.perfetto-trace` file and opened in the Perfetto UI. The fixed
+/// track descriptors (CPUs, sched events) come first, then one packet
+/// per event in trace order.
 pub fn encode(trace: &EventTrace) -> Vec<u8> {
-    let mut enc = Encoder::new(trace.meta.clone());
-    enc.add_tasks(&trace.tasks);
+    let meta = &trace.meta;
     let mut out = Vec::new();
-    enc.encode_chunk(&trace.events, &mut out);
+    for cpu in 0..meta.cpus.max(1) {
+        put_len_field(
+            &mut out,
+            1,
+            &track_descriptor_packet(
+                CPU_TRACK_BASE + u64::from(cpu),
+                &format!("cpu {cpu} ({})", meta.substrate),
+                false,
+            ),
+        );
+    }
+    put_len_field(
+        &mut out,
+        1,
+        &track_descriptor_packet(EVENTS_TRACK, "sched events", false),
+    );
+    let mut enc = Encoder {
+        meta,
+        names: trace
+            .tasks
+            .iter()
+            .map(|t| (t.id, t.name.as_str()))
+            .collect(),
+        counters_declared: BTreeSet::new(),
+    };
+    for ev in &trace.events {
+        enc.encode_event(ev, &mut out);
+    }
     out
 }
 
@@ -555,6 +529,61 @@ mod tests {
         assert_eq!(stats.track_events, 6);
         assert_eq!(stats.counter_samples, 2);
         assert_eq!(stats.packets, 11);
+    }
+
+    /// Two plain counter tracks and a tenant track whose samples
+    /// interleave, so each descriptor must precede its own first sample
+    /// rather than sit in the header.
+    fn counter_trace() -> EventTrace {
+        let mut trace = sample_trace();
+        trace.meta.tenants.push("globex".into());
+        trace.tasks.push(TaskMeta {
+            id: TaskId(2),
+            name: "B".into(),
+            weight: 1,
+            tenant: Some(TenantId(1)),
+        });
+        let counter = |t, track, value| TraceEvent::Counter { t, track, value };
+        trace.events.extend([
+            counter(12, CounterTrack::Runnable, 2.0),
+            counter(12, CounterTrack::VirtualTime, 2.5),
+            TraceEvent::Wake {
+                t: 13,
+                task: TaskId(2),
+            },
+            TraceEvent::PreemptEvict {
+                t: 13,
+                cpu: 1,
+                victim: TaskId(1),
+                by: TaskId(2),
+            },
+            counter(14, CounterTrack::TenantService(TenantId(1)), 0.125),
+            counter(15, CounterTrack::Runnable, 1.0),
+            counter(16, CounterTrack::TenantService(TenantId(1)), 0.25),
+            TraceEvent::Readjust {
+                t: 17,
+                calls: 3,
+                clamped: 1,
+            },
+        ]);
+        trace
+    }
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The encoder's output is pinned byte for byte (FNV-1a-64 of the
+    /// whole buffer): a refactor that reorders a descriptor or changes
+    /// one field tag moves a digest.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        assert_eq!(fnv1a64(&encode(&sample_trace())), 0xc0dc7c86aacd8530);
+        let bytes = encode(&counter_trace());
+        validate_encoded(&bytes).expect("structurally valid");
+        assert_eq!(fnv1a64(&bytes), 0xdfca1c8c96c71664);
     }
 
     #[test]

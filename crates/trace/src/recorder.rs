@@ -15,44 +15,10 @@ use std::sync::{Arc, Mutex};
 use sfs_core::task::{TaskId, TenantId};
 
 use crate::event::{CounterTrack, EventTrace, TaskMeta, TraceEvent, TraceMeta};
-use crate::stream::ChunkSink;
-
-/// Streaming recorders hand buffered events to their sink whenever the
-/// backlog reaches this size, on top of forwarding every `emit_many`
-/// batch, so single-event emitters (the rt executor) also stream.
-const STREAM_CHUNK_EVENTS: usize = 8 * 1024;
 
 struct State {
     trace: EventTrace,
     tenant_service_ns: HashMap<TenantId, u64>,
-    /// Streaming mode: completed chunks flush here and are dropped from
-    /// `trace.events`, keeping resident state bounded.
-    sink: Option<Box<dyn ChunkSink>>,
-    /// How many of `trace.tasks` the sink has already seen.
-    tasks_flushed: usize,
-    /// First sink I/O error, if any; later writes are skipped.
-    sink_error: Option<String>,
-}
-
-impl State {
-    /// Hands the buffered events (and any unseen task registrations) to
-    /// the sink and clears the buffer. No-op without a sink.
-    fn flush_to_sink(&mut self) {
-        let Some(sink) = &mut self.sink else { return };
-        if self.sink_error.is_some() {
-            self.trace.events.clear();
-            return;
-        }
-        let new_tasks = &self.trace.tasks[self.tasks_flushed..];
-        if new_tasks.is_empty() && self.trace.events.is_empty() {
-            return;
-        }
-        if let Err(e) = sink.chunk(new_tasks, &self.trace.events) {
-            self.sink_error = Some(e.to_string());
-        }
-        self.tasks_flushed = self.trace.tasks.len();
-        self.trace.events.clear();
-    }
 }
 
 struct Shared {
@@ -93,26 +59,9 @@ impl TraceRecorder {
                 state: Mutex::new(State {
                     trace: EventTrace::new(meta),
                     tenant_service_ns: HashMap::new(),
-                    sink: None,
-                    tasks_flushed: 0,
-                    sink_error: None,
                 }),
             }),
         }
-    }
-
-    /// A live recorder that streams completed event chunks into `sink`
-    /// instead of accumulating them: every [`TraceRecorder::emit_many`]
-    /// batch is forwarded (and dropped from memory) immediately, and
-    /// per-event emitters flush whenever the backlog reaches a fixed
-    /// chunk size. [`TraceRecorder::finish`] flushes the tail, calls
-    /// the sink's `finish`, and returns a trace whose `events` are
-    /// empty — the export *is* the sink's output. Check
-    /// [`TraceRecorder::sink_error`] afterwards for I/O failures.
-    pub fn streaming(meta: TraceMeta, sink: Box<dyn ChunkSink>) -> TraceRecorder {
-        let rec = TraceRecorder::new(meta);
-        rec.lock().sink = Some(sink);
-        rec
     }
 
     /// True if events are being recorded. Emission hooks check this
@@ -150,19 +99,14 @@ impl TraceRecorder {
         if !self.on() {
             return;
         }
-        let mut state = self.lock();
-        state.trace.events.push(ev);
-        if state.sink.is_some() && state.trace.events.len() >= STREAM_CHUNK_EVENTS {
-            state.flush_to_sink();
-        }
+        self.lock().trace.events.push(ev);
     }
 
     /// Appends a batch of events under one lock. No-op while off.
     ///
     /// Single-threaded emitters (the simulator) buffer events locally
     /// in a plain `Vec` and flush through this, so their per-event
-    /// recording cost is one unsynchronized push. A streaming recorder
-    /// forwards the whole batch to its sink before returning.
+    /// recording cost is one unsynchronized push.
     pub fn emit_many(&self, evs: Vec<TraceEvent>) {
         if !self.on() || evs.is_empty() {
             return;
@@ -173,7 +117,6 @@ impl TraceRecorder {
         } else {
             state.trace.events.extend(evs);
         }
-        state.flush_to_sink();
     }
 
     /// Accumulates `delta_ns` of CPU service for `tenant` and emits the
@@ -199,24 +142,11 @@ impl TraceRecorder {
 
     /// Stops recording and returns the trace, events stable-sorted by
     /// timestamp. The recorder is left off and empty.
-    ///
-    /// Streaming recorders flush the tail chunk, close the sink, and
-    /// return a trace with the task registry but **no events** — the
-    /// sink's output is the export.
     pub fn finish(&self) -> EventTrace {
         // relaxed: hooks that raced past the flag still take the state
         // lock below, which orders them against the drain.
         self.inner.on.store(false, Ordering::Relaxed);
         let mut state = self.lock();
-        if state.sink.is_some() {
-            state.flush_to_sink();
-            let mut sink = state.sink.take().expect("checked above");
-            if state.sink_error.is_none() {
-                if let Err(e) = sink.finish() {
-                    state.sink_error = Some(e.to_string());
-                }
-            }
-        }
         let meta = state.trace.meta.clone();
         let mut trace = std::mem::replace(&mut state.trace, EventTrace::new(meta));
         // Single-threaded emitters produce already-sorted events; skip
@@ -227,99 +157,11 @@ impl TraceRecorder {
         }
         trace
     }
-
-    /// The first sink I/O error hit while streaming, if any. Always
-    /// `None` for non-streaming recorders.
-    pub fn sink_error(&self) -> Option<String> {
-        self.lock().sink_error.clone()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{read_jsonl, JsonlStream};
-
-    /// A `Write` target the test can still read after the recorder has
-    /// consumed the sink.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl std::io::Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn streaming_recorder_exports_incrementally_and_holds_nothing() {
-        let buf = SharedBuf::default();
-        let sink = JsonlStream::new(TraceMeta::default(), buf.clone());
-        let rec = TraceRecorder::streaming(TraceMeta::default(), Box::new(sink));
-        rec.register_task(TaskId(1), "a", 2, None);
-        rec.emit_many(vec![
-            TraceEvent::Wake {
-                t: 1,
-                task: TaskId(1),
-            },
-            TraceEvent::Wake {
-                t: 2,
-                task: TaskId(1),
-            },
-        ]);
-        // The batch is already on disk, before finish().
-        let mid = buf.0.lock().unwrap().len();
-        assert!(mid > 0, "chunk not flushed on emit_many");
-        rec.register_task(TaskId(2), "b", 1, None);
-        rec.emit(TraceEvent::Wake {
-            t: 3,
-            task: TaskId(2),
-        });
-        let trace = rec.finish();
-        assert_eq!(rec.sink_error(), None);
-        assert!(trace.events.is_empty(), "streamed events must not linger");
-        assert_eq!(trace.tasks.len(), 2);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let back = read_jsonl(&text).expect("jsonl parses");
-        assert_eq!(back.tasks.len(), 2);
-        assert_eq!(back.events.len(), 3);
-        let ts: Vec<u64> = back.events.iter().map(TraceEvent::timestamp).collect();
-        assert_eq!(ts, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn streaming_sink_errors_are_surfaced_not_panicked() {
-        struct FailingSink;
-        impl crate::stream::ChunkSink for FailingSink {
-            fn chunk(
-                &mut self,
-                _tasks: &[crate::event::TaskMeta],
-                _events: &[TraceEvent],
-            ) -> std::io::Result<()> {
-                Err(std::io::Error::other("disk full"))
-            }
-            fn finish(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let rec = TraceRecorder::streaming(TraceMeta::default(), Box::new(FailingSink));
-        rec.emit_many(vec![TraceEvent::Wake {
-            t: 1,
-            task: TaskId(1),
-        }]);
-        rec.emit_many(vec![TraceEvent::Wake {
-            t: 2,
-            task: TaskId(1),
-        }]);
-        let trace = rec.finish();
-        assert!(trace.events.is_empty());
-        let err = rec.sink_error().expect("error recorded");
-        assert!(err.contains("disk full"), "{err}");
-    }
 
     #[test]
     fn off_recorder_drops_everything() {

@@ -133,11 +133,6 @@ impl Interact {
             started: false,
         }
     }
-
-    /// The paper-flavoured default: ~100 ms think time, ~5 ms bursts.
-    pub fn default_mix(seed: u64) -> Interact {
-        Interact::new(Duration::from_millis(100), Duration::from_millis(5), seed)
-    }
 }
 
 impl Behavior for Interact {
@@ -181,18 +176,6 @@ impl MpegDecode {
             sleeping: false,
         }
     }
-
-    /// The paper's clip: 30 fps MPEG-1. The per-frame cost is chosen so
-    /// decoding saturates ~90% of one CPU (1.49 Mb/s clip on the
-    /// test-bed machine): 30 ms per frame.
-    pub fn paper_clip() -> MpegDecode {
-        MpegDecode::new(30, Duration::from_millis(30))
-    }
-
-    /// The decode cost per frame.
-    pub fn frame_cost(&self) -> Duration {
-        self.frame_cost
-    }
 }
 
 impl Behavior for MpegDecode {
@@ -232,13 +215,6 @@ impl Behavior for MpegDecode {
     }
 }
 
-impl MpegDecode {
-    /// Test helper: the current display deadline.
-    pub fn deadline(&self) -> Time {
-        self.next_deadline
-    }
-}
-
 /// A *gcc* compile job: long CPU bursts separated by short I/O blocks
 /// (reading sources, writing objects). Restarted continuously, it is
 /// the background load of Fig. 6(b).
@@ -259,12 +235,6 @@ impl CompileJob {
             io,
             computing: false,
         }
-    }
-
-    /// Defaults approximating `gcc` on the paper's test-bed: ~40 ms
-    /// compute bursts, ~2 ms I/O pauses (95% CPU-bound).
-    pub fn default_gcc(seed: u64) -> CompileJob {
-        CompileJob::new(Duration::from_millis(40), Duration::from_millis(2), seed)
     }
 }
 
@@ -302,11 +272,6 @@ impl SimJob {
             io,
             computing: false,
         }
-    }
-
-    /// Defaults approximating `disksim`: ~80 ms bursts, ~0.5 ms pauses.
-    pub fn default_disksim(seed: u64) -> SimJob {
-        SimJob::new(Duration::from_millis(80), Duration::from_micros(500), seed)
     }
 }
 
@@ -404,9 +369,14 @@ mod tests {
         assert_eq!(b.next(Time::ZERO), Phase::Exit);
     }
 
+    /// ~100 ms think time, ~5 ms bursts.
+    fn interact(seed: u64) -> Interact {
+        Interact::new(Duration::from_millis(100), Duration::from_millis(5), seed)
+    }
+
     #[test]
     fn interact_alternates_block_compute() {
-        let mut b = Interact::default_mix(7);
+        let mut b = interact(7);
         assert!(matches!(b.next(Time::ZERO), Phase::Block(_)));
         assert!(matches!(b.next(Time::ZERO), Phase::Compute(_)));
         assert!(matches!(b.next(Time::ZERO), Phase::Block(_)));
@@ -414,8 +384,7 @@ mod tests {
 
     #[test]
     fn interact_is_reproducible() {
-        let mut a = Interact::default_mix(42);
-        let mut b = Interact::default_mix(42);
+        let (mut a, mut b) = (interact(42), interact(42));
         for _ in 0..20 {
             assert_eq!(a.next(Time::ZERO), b.next(Time::ZERO));
         }
@@ -448,7 +417,7 @@ mod tests {
 
     #[test]
     fn compile_job_mostly_computes() {
-        let mut c = CompileJob::default_gcc(3);
+        let mut c = CompileJob::new(Duration::from_millis(40), Duration::from_millis(2), 3);
         let mut compute = Duration::ZERO;
         let mut block = Duration::ZERO;
         for _ in 0..2000 {

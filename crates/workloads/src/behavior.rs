@@ -44,49 +44,3 @@ pub trait Behavior: Send {
         None
     }
 }
-
-/// A behaviour built from a closure, for tests and one-off scenarios.
-pub struct FnBehavior<F: FnMut(Time) -> Phase + Send> {
-    f: F,
-    label: &'static str,
-}
-
-impl<F: FnMut(Time) -> Phase + Send> FnBehavior<F> {
-    /// Wraps a closure as a behaviour.
-    pub fn new(label: &'static str, f: F) -> Self {
-        FnBehavior { f, label }
-    }
-}
-
-impl<F: FnMut(Time) -> Phase + Send> Behavior for FnBehavior<F> {
-    fn next(&mut self, now: Time) -> Phase {
-        (self.f)(now)
-    }
-
-    fn kind(&self) -> &'static str {
-        self.label
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fn_behavior_delegates() {
-        let mut calls = 0;
-        let mut b = FnBehavior::new("test", move |_| {
-            calls += 1;
-            if calls > 2 {
-                Phase::Exit
-            } else {
-                Phase::Compute(Duration::from_millis(calls))
-            }
-        });
-        assert_eq!(b.kind(), "test");
-        assert_eq!(b.next(Time::ZERO), Phase::Compute(Duration::from_millis(1)));
-        assert_eq!(b.next(Time::ZERO), Phase::Compute(Duration::from_millis(2)));
-        assert_eq!(b.next(Time::ZERO), Phase::Exit);
-        assert_eq!(b.iteration_cost(), None);
-    }
-}

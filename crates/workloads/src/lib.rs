@@ -20,4 +20,4 @@ pub mod apps;
 pub mod behavior;
 
 pub use apps::{BehaviorSpec, CompileJob, FiniteLoop, Interact, MpegDecode, SimJob, SpinLoop};
-pub use behavior::{Behavior, FnBehavior, Phase};
+pub use behavior::{Behavior, Phase};

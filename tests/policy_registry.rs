@@ -204,7 +204,7 @@ proptest! {
         );
 
         let budget = Duration::from_secs(1) * u64::from(cpus);
-        let exp = Experiment::new(scenario);
+        let exp = Experiment::new(scenario.clone());
         // Every policy in the registry, end to end through the one
         // front-end: a policy added to the registry automatically joins
         // this property.
@@ -222,8 +222,7 @@ proptest! {
         // each event (a violation panics): auditing observes only, so
         // the delivered service is the compare run's.
         for (spec, run) in PolicySpec::registered().iter().zip(&cmp.runs) {
-            let audited = exp
-                .scenario()
+            let audited = scenario
                 .try_run(Box::new(Audited(spec.build(cpus))))
                 .expect("well-formed scenario");
             prop_assert_eq!(audited.total_service(), run.total_service(), "{}", run.sched_name);

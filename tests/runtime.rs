@@ -5,7 +5,7 @@
 use std::time::Instant;
 
 use sfs::prelude::*;
-use sfs::rt::drive;
+use sfs::rt::drive_recording_until;
 
 fn rt_sfs(cpus: u32) -> Executor {
     Executor::new(
@@ -72,7 +72,7 @@ fn behavior_driver_runs_paper_workloads_on_threads() {
             fps: 30,
             frame_cost: Duration::from_millis(3),
         };
-        let stats = drive(ctx, spec.build(1), epoch);
+        let stats = drive_recording_until(ctx, spec.build(1), epoch, None);
         let _ = tx.send(stats);
     });
     let cc = ex.spawn("cc", weight(1), spin);
