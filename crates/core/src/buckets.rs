@@ -52,7 +52,7 @@
 //!   insert each,
 //! * virtual-time advance: free.
 //!
-//! The old path was O(n) per pick in `resort_with` alone.
+//! The old resort-based path was O(n) per pick.
 //!
 //! The location index (task → its `φ` bucket and start-tag key) is a
 //! [`TaskMap`]: an index lookup is two indexed loads, with no hashing,
@@ -365,22 +365,6 @@ impl BucketQueue {
         }
     }
 
-    /// Shifts every start-tag key by `delta` (tag renormalisation,
-    /// §3.2). A uniform shift preserves order inside every bucket, so
-    /// the sorted rebuild is linear; the bucket keys (`φ` values) are
-    /// untouched.
-    pub fn shift_keys(&mut self, delta: Fixed) {
-        for bucket in self.buckets.values_mut() {
-            let shifted: Vec<(Fixed, TaskId)> =
-                bucket.iter().map(|&(s, id)| (s + delta, id)).collect();
-            bucket.clear();
-            bucket.extend(shifted);
-        }
-        for (_, s) in self.index.values_mut() {
-            *s += delta;
-        }
-    }
-
     /// Debug invariant check: every bucket is non-empty, the index
     /// matches the buckets, and every entry's key equals the start tag
     /// `start_of` reports for its task.
@@ -630,22 +614,6 @@ mod tests {
         assert!(scanned >= 3, "affinity scan work must be reported");
         let (pick, _) = q.affinity_best(Fixed::ZERO, fx(4), |_| true);
         assert_eq!(pick, Some(TaskId(3)), "min (α, S, id) among eligible");
-    }
-
-    #[test]
-    fn shift_keys_preserves_order() {
-        let mut q = BucketQueue::new();
-        q.insert(TaskId(1), fx(10), fx(100));
-        q.insert(TaskId(2), fx(10), fx(200));
-        q.insert(TaskId(3), fx(1), fx(150));
-        q.shift_keys(-fx(100));
-        assert_eq!(q.start_of(TaskId(1)), Some(fx(0)));
-        assert_eq!(q.start_of(TaskId(3)), Some(fx(50)));
-        q.check_invariants(|id| match id.0 {
-            1 => fx(0),
-            2 => fx(100),
-            _ => fx(50),
-        });
     }
 
     #[test]

@@ -7,17 +7,34 @@
 //! `i128` mantissa interpreted as `mantissa / SCALE` with
 //! `SCALE = 10_000`.
 //!
-//! A 128-bit mantissa gives enormous headroom (the paper instead
-//! periodically renormalises 32-bit tags against the minimum start tag;
-//! we implement the same renormalisation in the schedulers as a
-//! behaviour-preserving port of their wrap-around handling, and keep the
-//! wide mantissa as a safety net).
+//! # Overflow: width instead of wrap-around
+//!
+//! Deviation from the paper: its 32-bit tags overflow, so §3.2
+//! periodically shifts every tag back by the minimum start tag. Here the
+//! `i128` mantissa alone keeps tags in range and nothing shifts. A tag
+//! moves in only three ways:
+//!
+//! * a charge adds `φ.div_into_int(ran) = ran·SCALE²/φ_raw ≤ ran·SCALE²`
+//!   raw units, since `φ_raw ≥ 1`;
+//! * an arrival or wake sets it to `max(F, v)`;
+//! * an idle machine sets it to `v`.
+//!
+//! The last two never exceed the largest existing tag, so no tag exceeds
+//! the machine's total service × `SCALE²`. Total service is at most
+//! `u32::MAX` CPUs × `u64::MAX` ns, and the assertion below shows that
+//! fits with a 21× margin. (WFQ's expected finish tag looks one more
+//! quantum ahead; stride scales its charge by `STRIDE1 / Q`, at most 1
+//! for `Q ≥ 2²⁰` ns.) The bound covers tags only: a shift never changed
+//! a difference such as `S − v` or a surplus, so the range of surplus
+//! arithmetic is the same with or without one.
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// The paper's scaling factor: captures 4 digits past the decimal point.
 pub const SCALE: i128 = 10_000;
+
+const _: () = assert!((u32::MAX as i128) * (u64::MAX as i128) <= i128::MAX / (SCALE * SCALE));
 
 /// A fixed-point number with [`SCALE`] fractional resolution.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

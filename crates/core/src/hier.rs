@@ -85,7 +85,6 @@ pub struct HierSfs {
     queued_share_total: u128,
     /// Group-level virtual time floor (last finish tag when idle).
     v: Fixed,
-    renorm_threshold: Fixed,
     stats: SchedStats,
 }
 
@@ -120,7 +119,6 @@ impl HierSfs {
             buckets: BucketQueue::new(),
             queued_share_total: 0,
             v: Fixed::ZERO,
-            renorm_threshold: Fixed::from_int(100_000_000_000_000),
             stats: SchedStats::default(),
         }
     }
@@ -237,21 +235,6 @@ impl HierSfs {
                 }
             }
         }
-    }
-
-    /// §3.2 wrap-around handling at the group level.
-    fn maybe_renormalize(&mut self) {
-        if self.v <= self.renorm_threshold {
-            return;
-        }
-        let delta = self.current_v().min(self.v);
-        for g in &mut self.groups {
-            g.start_tag -= delta;
-            g.finish_tag -= delta;
-        }
-        self.v -= delta;
-        self.buckets.shift_keys(-delta);
-        self.stats.renormalizations += 1;
     }
 
     /// Asserts the two-level structural invariants: the group queue's
@@ -500,7 +483,6 @@ impl Scheduler for HierSfs {
         } else {
             self.dequeue_group(gi);
         }
-        self.maybe_renormalize();
     }
 
     fn time_slice(&self, id: TaskId) -> Duration {

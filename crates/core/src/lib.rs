@@ -17,7 +17,7 @@
 //!   kernel queue structure upgraded to a per-weight-class bucket queue
 //!   ([`mod@buckets`]) that makes the exact pick O(#weight-classes)
 //!   instead of O(n), plus the bounded-lookahead heuristic and
-//!   fixed-point tags with renormalisation (§3).
+//!   fixed-point tags (§3).
 //! * [`hier`] — hierarchical SFS over tenant groups (`sfs:groups(...)`):
 //!   the top level runs SFS with each group's share as its weight
 //!   (group-level §2.1 readjustment included) and each group's member

@@ -389,7 +389,7 @@ impl PolicySpec {
     /// # Panics
     ///
     /// Panics for time sharing, which derives its quantum from epoch
-    /// ticks (use [`PolicySpec::with_ticks`]).
+    /// ticks (use [`PolicySpec::with_ticks`]), or if `q` is zero.
     #[must_use]
     pub fn with_quantum(mut self, q: Duration) -> PolicySpec {
         assert!(
@@ -397,6 +397,7 @@ impl PolicySpec {
             "`quantum` does not apply to {}",
             self.kind
         );
+        assert!(q > Duration::ZERO, "`quantum` must be positive");
         self.assert_flat("quantum");
         self.quantum = Some(q);
         self
@@ -486,7 +487,7 @@ impl PolicySpec {
     ///
     /// # Panics
     ///
-    /// Panics for non-time-sharing kinds.
+    /// Panics for non-time-sharing kinds, or if `ticks` is not positive.
     #[must_use]
     pub fn with_ticks(mut self, ticks: i64) -> PolicySpec {
         assert!(
@@ -494,6 +495,7 @@ impl PolicySpec {
             "`ticks` does not apply to {}",
             self.kind
         );
+        assert!(ticks > 0, "`ticks` must be at least 1");
         self.ticks = Some(ticks);
         self
     }
@@ -807,7 +809,11 @@ impl FromStr for PolicySpec {
             match key {
                 "quantum" => {
                     check(kind.has_quantum())?;
-                    spec.quantum = Some(parse_duration(want_value()?)?);
+                    let q = parse_duration(want_value()?)?;
+                    if q == Duration::ZERO {
+                        return Err(ParsePolicyError::new("`quantum` must be positive"));
+                    }
+                    spec.quantum = Some(q);
                 }
                 "readjust" => {
                     check(kind.has_readjust())?;
@@ -829,7 +835,11 @@ impl FromStr for PolicySpec {
                 }
                 "ticks" => {
                     check(kind == PolicyKind::TimeSharing)?;
-                    spec.ticks = Some(parse_num(want_value()?, "ticks")?);
+                    let t: i64 = parse_num(want_value()?, "ticks")?;
+                    if t <= 0 {
+                        return Err(ParsePolicyError::new("`ticks` must be at least 1"));
+                    }
+                    spec.ticks = Some(t);
                 }
                 "shards" => {
                     let n: u32 = parse_num(want_value()?, "shards")?;
@@ -1093,6 +1103,12 @@ mod tests {
             "sfs:shards=0",
             "sfs:shards",
             "sfs:rebalance=5ms",
+            "sfs:quantum=0ms",
+            "stride:quantum=0ms",
+            "rr:quantum=0s",
+            "ts:ticks=0",
+            "ts:ticks=-3",
+            "sfs:groups(a=stride:quantum=0ms)",
         ] {
             assert!(bad.parse::<PolicySpec>().is_err(), "{bad:?} parsed");
         }

@@ -342,81 +342,6 @@ impl IndexedList {
         }
     }
 
-    /// Re-sorts the whole list after bulk key updates; `new_key`
-    /// supplies the fresh key for each task. Node handles remain valid
-    /// and FIFO runs of equal keys keep their relative order (the
-    /// rebuild is stable, like the insertion sort it replaced).
-    ///
-    /// This is the §3.2 "re-sort after the virtual time changes" path;
-    /// with the indexed queues its only remaining caller is tag
-    /// renormalisation, whose uniform shift never reorders anything —
-    /// the O(n log n) rebuild below exists for API parity and tests.
-    /// Returns the number of nodes found out of place (for stats).
-    pub fn resort_with(&mut self, mut new_key: impl FnMut(TaskId) -> Fixed) -> u64 {
-        // First pass: rewrite keys in place, counting out-of-place
-        // nodes (a node sorting strictly before its predecessor). No
-        // allocation yet: the production caller (tag renormalisation)
-        // shifts uniformly and always takes the moved == 0 exit.
-        let mut moved = 0u64;
-        let mut at = self.head[0];
-        let mut prev_key: Option<Fixed> = None;
-        while at != NIL {
-            let id = self.nodes[at as usize].id;
-            let key = new_key(id);
-            self.nodes[at as usize].key = key;
-            if let Some(pk) = prev_key {
-                if self.before(key, pk) {
-                    moved += 1;
-                }
-            }
-            prev_key = Some(key);
-            at = self.nodes[at as usize].next(0);
-            self.steps += 1;
-        }
-        if moved == 0 {
-            return 0;
-        }
-        // Second pass: stable re-link of every level in sorted order,
-        // collecting the bottom-level sequence only now that a rebuild
-        // is actually needed.
-        let mut order: Vec<u32> = Vec::with_capacity(self.len);
-        let mut at = self.head[0];
-        while at != NIL {
-            order.push(at);
-            at = self.nodes[at as usize].next(0);
-        }
-        let desc = self.order == Order::Descending;
-        let keys: Vec<Fixed> = order.iter().map(|&i| self.nodes[i as usize].key).collect();
-        let mut perm: Vec<usize> = (0..order.len()).collect();
-        perm.sort_by(|&a, &b| {
-            if desc {
-                keys[b].cmp(&keys[a])
-            } else {
-                keys[a].cmp(&keys[b])
-            }
-        });
-        self.head = [NIL; MAX_HEIGHT];
-        self.tail = NIL;
-        let mut last = [NIL; MAX_HEIGHT];
-        for &p in &perm {
-            let idx = order[p];
-            let height = self.nodes[idx as usize].height();
-            for (l, slot) in last.iter_mut().enumerate().take(height) {
-                self.nodes[idx as usize].set_prev(l, *slot);
-                self.nodes[idx as usize].set_next(l, NIL);
-                if *slot == NIL {
-                    self.head[l] = idx;
-                } else {
-                    self.nodes[*slot as usize].set_next(l, idx);
-                }
-                *slot = idx;
-            }
-            self.tail = idx;
-            self.steps += 1;
-        }
-        moved
-    }
-
     /// Debug invariant check: every level is sorted and consistent with
     /// the level below, pointers line up, and `len` matches.
     #[doc(hidden)]
@@ -659,52 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn resort_with_fixes_mostly_sorted_list() {
-        let mut l = IndexedList::new(Order::Ascending);
-        for i in 0..10 {
-            l.insert(Fixed::from_int(i), TaskId(i as u64));
-        }
-        // Shift every key down by its id parity: odd ids become smaller.
-        let moved = l.resort_with(|id| {
-            if id.0 % 2 == 1 {
-                Fixed::from_int(id.0 as i64 - 5)
-            } else {
-                Fixed::from_int(id.0 as i64)
-            }
-        });
-        l.check_invariants();
-        assert!(moved > 0);
-        let keys: Vec<Fixed> = l.iter().map(|(k, _)| k).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn resort_on_sorted_list_moves_nothing() {
-        let mut l = IndexedList::new(Order::Ascending);
-        for i in 0..10 {
-            l.insert(Fixed::from_int(i), TaskId(i as u64));
-        }
-        let moved = l.resort_with(|id| Fixed::from_int(id.0 as i64));
-        assert_eq!(moved, 0);
-    }
-
-    #[test]
-    fn resort_is_stable_for_tied_keys() {
-        let mut l = IndexedList::new(Order::Ascending);
-        for i in 0..6 {
-            l.insert(Fixed::from_int(i), TaskId(i as u64));
-        }
-        // Collapse everything onto two keys; runs of equal keys must
-        // keep their previous relative order (ids 0,2,4 then 1,3,5).
-        let moved = l.resort_with(|id| Fixed::from_int((id.0 % 2) as i64));
-        assert!(moved > 0);
-        assert_eq!(ids(&l), vec![0, 2, 4, 1, 3, 5]);
-        l.check_invariants();
-    }
-
-    #[test]
     fn iter_rev_matches_forward() {
         let mut l = IndexedList::new(Order::Ascending);
         for i in [3i64, 1, 4, 1, 5] {
@@ -768,20 +647,6 @@ mod tests {
                 l.check_invariants();
             }
             prop_assert_eq!(l.len(), live.len());
-        }
-
-        #[test]
-        fn resort_always_sorts(keys in proptest::collection::vec(-50i64..50, 1..80),
-                               new_keys in proptest::collection::vec(-50i64..50, 1..80)) {
-            let mut l = IndexedList::new(Order::Ascending);
-            for (i, k) in keys.iter().enumerate() {
-                l.insert(Fixed::from_int(*k), TaskId(i as u64));
-            }
-            l.resort_with(|id| {
-                let i = id.0 as usize % new_keys.len();
-                Fixed::from_int(new_keys[i])
-            });
-            l.check_invariants();
         }
     }
 }

@@ -60,7 +60,8 @@ pub struct SchedStats {
     pub vt_changes: u64,
     /// Bulk surplus recomputations + re-sorts of the surplus queue.
     pub full_resorts: u64,
-    /// Individual queue nodes moved during re-sorts.
+    /// Always 0: nothing re-sorts a queue any more. Kept only because
+    /// `benchmark/` records every `SchedStats` field.
     pub nodes_moved: u64,
     /// Invocations of the weight readjustment algorithm.
     pub readjust_calls: u64,
@@ -74,7 +75,9 @@ pub struct SchedStats {
     pub heuristic_audits: u64,
     /// Audited picks where the heuristic chose a true minimum-surplus task.
     pub heuristic_hits: u64,
-    /// Tag renormalisations (wrap-around handling, §3.2).
+    /// Always 0: tags never wrap (see `fixed.rs`), so nothing
+    /// renormalises them (§3.2). Kept only because `benchmark/` records
+    /// every `SchedStats` field.
     pub renormalizations: u64,
     /// Picks that moved a task to a different processor than its last.
     pub migrations: u64,

@@ -71,11 +71,6 @@ impl TagPolicy for SfqRule {
     fn queue_key(t: &SfqTags) -> Fixed {
         t.start_tag
     }
-
-    fn shift(t: &mut SfqTags, delta: Fixed) {
-        t.start_tag -= delta;
-        t.finish_tag -= delta;
-    }
 }
 
 /// The start-time fair queueing scheduler.
@@ -85,7 +80,6 @@ pub type Sfq = TagQueue<SfqRule>;
 mod tests {
     use super::*;
     use crate::sched::Scheduler;
-    use crate::tagq::TagConfig;
     use crate::task::{CpuId, TaskId, Weight};
     use crate::testkit::{assert_close, MiniSim};
     use crate::time::Time;
@@ -200,28 +194,6 @@ mod tests {
         // A task arriving while idle starts at the frozen v.
         sim.spawn(2, 1);
         assert_eq!(sim.sched.tags_of(TaskId(2)).unwrap().start_tag, v);
-    }
-
-    #[test]
-    fn renormalization_is_transparent() {
-        let mut tiny = Sfq::with_config(
-            1,
-            TagConfig {
-                quantum: Duration::from_millis(1),
-                ..TagConfig::default()
-            },
-        );
-        tiny.renorm_threshold = Fixed::from_int(20_000_000);
-        let mut a = MiniSim::new(tiny);
-        let mut b = MiniSim::new(Sfq::new(1));
-        for sim in [&mut a, &mut b] {
-            sim.spawn(1, 2);
-            sim.spawn(2, 5);
-            sim.run_quanta(1500);
-        }
-        assert!(a.sched.stats().renormalizations > 0);
-        assert_eq!(a.service(1), b.service(1));
-        assert_eq!(a.service(2), b.service(2));
     }
 
     #[test]

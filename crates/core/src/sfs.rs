@@ -51,8 +51,7 @@
 //! resort-based implementation — a differential test drives both in
 //! lockstep — only the per-decision cost changes
 //! (O(#weight-classes·log n) instead of O(n)). The bounded-lookahead
-//! heuristic of §3.2 and the fixed-point tags with renormalisation are
-//! retained.
+//! heuristic of §3.2 and the fixed-point tags are retained.
 //!
 //! # Per-task state
 //!
@@ -98,10 +97,6 @@ pub struct SfsConfig {
     /// backwards weight queue instead of scanning every bucket head.
     /// `None`: exact algorithm.
     pub heuristic: Option<usize>,
-    /// When the virtual time exceeds this value, subtract the minimum
-    /// start tag from every tag and reset the virtual time (§3.2
-    /// wrap-around handling).
-    pub renorm_threshold: Fixed,
     /// Audit every heuristic pick against the exact choice (Fig. 3).
     pub audit_heuristic: bool,
     /// Processor-affinity extension (§5 future work): when picking for
@@ -121,7 +116,6 @@ impl Default for SfsConfig {
         SfsConfig {
             quantum: Duration::from_millis(200),
             heuristic: None,
-            renorm_threshold: Fixed::from_int(100_000_000_000_000),
             audit_heuristic: false,
             affinity_margin: None,
             phi_snapshot: None,
@@ -431,23 +425,6 @@ impl Sfs {
         picked
     }
 
-    /// §3.2 wrap-around handling: shift every tag down by the minimum
-    /// start tag and reset the virtual time. The shift is uniform, so
-    /// neither the start-tag queue nor any bucket reorders.
-    fn maybe_renormalize(&mut self) {
-        if self.v <= self.cfg.renorm_threshold {
-            return;
-        }
-        let delta = self.current_v().min(self.v);
-        for e in self.tasks.values_mut() {
-            e.task.start_tag -= delta;
-            e.task.finish_tag -= delta;
-        }
-        self.v -= delta;
-        self.buckets.shift_keys(-delta);
-        self.stats.renormalizations += 1;
-    }
-
     /// Immutable view of a task's tag state, for tests and tracing.
     pub fn tags_of(&self, id: TaskId) -> Option<&TagTask> {
         self.tasks.get(&id).map(|e| &e.task)
@@ -750,7 +727,6 @@ impl Scheduler for Sfs {
                 }
             }
         }
-        self.maybe_renormalize();
     }
 
     fn time_slice(&self, _id: TaskId) -> Duration {
@@ -1023,27 +999,6 @@ mod tests {
         assert!(st.heuristic_audits > 0);
         assert!(st.heuristic_hits > 0);
         assert!(st.heuristic_hits <= st.heuristic_audits);
-    }
-
-    #[test]
-    fn renormalization_is_transparent() {
-        let tiny = SfsConfig {
-            quantum: Duration::from_millis(1),
-            renorm_threshold: Fixed::from_int(50_000_000), // 50 ms of vtime
-            ..SfsConfig::default()
-        };
-        let mut a = MiniSim::new(Sfs::with_config(1, tiny));
-        let mut b = MiniSim::new(Sfs::new(1));
-        for sim in [&mut a, &mut b] {
-            sim.spawn(1, 1);
-            sim.spawn(2, 3);
-            sim.run_quanta(2000);
-        }
-        assert!(a.sched.stats().renormalizations > 0, "renorm never fired");
-        assert_eq!(b.sched.stats().renormalizations, 0);
-        assert_eq!(a.service(1), b.service(1), "renorm changed allocations");
-        assert_eq!(a.service(2), b.service(2));
-        a.sched.check_invariants();
     }
 
     #[test]

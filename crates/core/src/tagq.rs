@@ -20,8 +20,7 @@
 //!   runnable floor keys (WFQ orders by finish tag but floors at the
 //!   minimum start tag; BVT orders by effective but floors at actual
 //!   virtual time), and the floor remembered for an idle machine;
-//! * tag renormalisation (§3.2) for policies whose floor is a virtual
-//!   time, the `SchedStats` merge, and the structural invariant check.
+//! * the `SchedStats` merge and the structural invariant check.
 //!
 //! One event probes the task table once: the entry is fetched, the
 //! policy rewrites its tags in place, and the queues are updated from
@@ -89,10 +88,9 @@ pub trait TagPolicy {
     /// charged its in-flight time, is behind the woken task's.
     const WAKE_PREEMPTS: bool = false;
 
-    /// Whether the floor is a virtual time in the §2.3 sense: reported
-    /// by `Scheduler::virtual_time` and kept in range by renormalisation
-    /// (§3.2) through [`TagPolicy::shift`]. Needs `floor_key` to be the
-    /// queue key.
+    /// Whether the floor is a virtual time in the §2.3 sense, reported
+    /// by `Scheduler::virtual_time`. Needs `floor_key` to be the queue
+    /// key.
     const VIRTUAL_TIME: bool = false;
 
     /// Tags of a task arriving at `floor`. `phi` is its instantaneous
@@ -122,11 +120,6 @@ pub trait TagPolicy {
     fn floor_key(_tags: &Self::Tags) -> Option<Fixed> {
         None
     }
-
-    /// Subtracts `delta` from every tag (renormalisation).
-    fn shift(_tags: &mut Self::Tags, _delta: Fixed) {
-        unreachable!("VIRTUAL_TIME policies must implement shift");
-    }
 }
 
 #[derive(Debug)]
@@ -152,8 +145,6 @@ pub struct TagQueue<P: TagPolicy> {
     floor_keys: KeyCounter,
     /// The floor while nothing is runnable (see [`IdleFloor`]).
     idle_floor: Fixed,
-    /// Floor beyond which tags are shifted back towards zero.
-    pub(crate) renorm_threshold: Fixed,
     stats: SchedStats,
 }
 
@@ -188,7 +179,6 @@ impl<P: TagPolicy> TagQueue<P> {
             queue: IndexedList::new(Order::Ascending),
             floor_keys: KeyCounter::new(),
             idle_floor: Fixed::ZERO,
-            renorm_threshold: Fixed::from_int(100_000_000_000_000),
             stats: SchedStats::default(),
             cfg,
         }
@@ -212,22 +202,6 @@ impl<P: TagPolicy> TagQueue<P> {
             .min()
             .or_else(|| self.queue.head().map(|(k, _)| k))
             .unwrap_or(self.idle_floor)
-    }
-
-    fn maybe_renormalize(&mut self) {
-        let v = self.floor();
-        if self.idle_floor <= self.renorm_threshold && v <= self.renorm_threshold {
-            return;
-        }
-        let delta = v.min(self.idle_floor);
-        for e in self.tasks.values_mut() {
-            P::shift(&mut e.tags, delta);
-        }
-        self.idle_floor -= delta;
-        let tasks = &self.tasks;
-        let moved = self.queue.resort_with(|id| P::queue_key(&tasks[&id].tags));
-        debug_assert_eq!(moved, 0);
-        self.stats.renormalizations += 1;
     }
 }
 
@@ -362,9 +336,6 @@ impl<P: TagPolicy> Scheduler for TagQueue<P> {
             if P::IDLE_FLOOR == IdleFloor::Finish && self.queue.is_empty() {
                 self.idle_floor = finish;
             }
-        }
-        if P::VIRTUAL_TIME {
-            self.maybe_renormalize();
         }
     }
 

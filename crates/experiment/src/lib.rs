@@ -380,6 +380,9 @@ mod tests {
         assert!(matches!(err, ExperimentError::Scenario(_)), "{err}");
         let err = exp.run("not-a-policy").unwrap_err();
         assert!(matches!(err, ExperimentError::Policy(_)), "{err}");
+        // A zero quantum is refused at parse: stride would divide by it.
+        let err = exp.run("stride:quantum=0ms").unwrap_err();
+        assert!(matches!(err, ExperimentError::Policy(_)), "{err}");
 
         // A zero-CPU machine must be a typed error, not a scheduler
         // constructor panic.
@@ -420,6 +423,22 @@ mod tests {
             err,
             ExperimentError::Scenario(ScenarioError::ZeroSamplePeriod)
         );
+    }
+
+    /// Likewise a capture edited to a zero quantum: it must fail to
+    /// load, before the engine could spin on one-tick quanta.
+    #[test]
+    fn capture_with_a_zero_quantum_fails_to_load() {
+        let cap = Capture {
+            scenario: scenario(),
+            policy: "sfs:quantum=10ms".parse().unwrap(),
+            trace: EventTrace::new(TraceMeta::default()),
+        };
+        let text = cap.to_json().to_string();
+        let edited = text.replace("quantum=10ms", "quantum=0ms");
+        assert_ne!(edited, text, "capture JSON carries the policy");
+        let err = Capture::from_json(&sfs_trace::Json::parse(&edited).unwrap()).unwrap_err();
+        assert!(err.contains("`quantum` must be positive"), "{err}");
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!   moves whenever the run queue's structure or its step accounting
 //!   does and never changes what runs, so a change to either may
 //!   re-record it, and only it, saying so.
+//!
+//! The same script, with every duration scaled, is also the time-scale
+//! oracle at the end of this file.
 
 use sfs_core::prelude::*;
 
@@ -67,28 +70,54 @@ impl Rng {
 
 const CPUS: usize = 3;
 const QUANTUM: Duration = Duration::from_millis(10);
-/// Skewed so weight assignments are often infeasible on three CPUs.
-const WEIGHTS: [u64; 8] = [1, 1, 2, 3, 5, 8, 40, 200];
 const STEPS: usize = 6000;
 
+/// The script's shape: the machine size, a factor every duration is
+/// multiplied by, and the weights arrivals and reweights draw from.
+#[derive(Clone, Copy)]
+struct Script {
+    cpus: usize,
+    scale: u64,
+    weights: [u64; 8],
+}
+
+/// The shape the pins were recorded with. The weights are skewed so
+/// assignments are often infeasible on three CPUs.
+const PINNED: Script = Script {
+    cpus: CPUS,
+    scale: 1,
+    weights: [1, 1, 2, 3, 5, 8, 40, 200],
+};
+
 /// Drives one seeded script through `s`, folding every decision into
-/// `d`, and returns the run's `event_steps`. `on_attach` runs after each
-/// `attach` (BVT grants warps).
-fn drive<S: Scheduler>(
+/// `d` and appending every `(cpu, picked id)` to `picks`, and returns
+/// the run's `event_steps`. `on_attach` runs after each attach (BVT
+/// grants warps). Tasks alternate between tenants 0 and 1, which only
+/// a hierarchy reads.
+fn drive<S: Scheduler + ?Sized>(
     s: &mut S,
+    script: Script,
     seed: u64,
     d: &mut Digest,
+    picks: &mut Vec<(usize, u64)>,
     on_attach: &dyn Fn(&mut S, TaskId),
 ) -> u64 {
+    let Script {
+        cpus,
+        scale,
+        weights,
+    } = script;
+    let quantum = QUANTUM * scale;
+    let micros = |us: usize| Duration::from_micros(us as u64 * scale);
     let mut rng = Rng(seed | 1);
     let mut now = Time::ZERO;
     let mut next_id = 0u64;
-    let mut running: [Option<TaskId>; CPUS] = [None; CPUS];
+    let mut running: Vec<Option<TaskId>> = vec![None; cpus];
     let mut ready_or_running: Vec<TaskId> = Vec::new();
     let mut blocked: Vec<TaskId> = Vec::new();
 
     for step in 0..STEPS {
-        now += Duration::from_micros(100 + rng.below(900) as u64);
+        now += micros(100 + rng.below(900));
         // Every 1500 steps the script drains the machine to idle (only
         // blocks and picks), so the idle-floor rule is exercised.
         let draining = step % 1500 >= 1350;
@@ -102,8 +131,8 @@ fn drive<S: Scheduler>(
             0 | 1 if ready_or_running.len() + blocked.len() < 40 => {
                 let id = TaskId(next_id);
                 next_id += 1;
-                let w = weight(WEIGHTS[rng.below(WEIGHTS.len())]);
-                s.attach(id, w, now);
+                let w = weight(weights[rng.below(weights.len())]);
+                s.attach_tenant(id, w, Some(TenantId(id.0 as u32 % 2)), now);
                 on_attach(s, id);
                 ready_or_running.push(id);
             }
@@ -114,8 +143,10 @@ fn drive<S: Scheduler>(
                         continue;
                     }
                     let picked = s.pick_next(CpuId(cpu as u32), now);
+                    let picked_word = picked.map_or(u64::MAX, |id| id.0);
+                    picks.push((cpu, picked_word));
                     d.word(cpu as u64);
-                    d.word(picked.map_or(u64::MAX, |id| id.0));
+                    d.word(picked_word);
                     if let Some(id) = picked {
                         d.fixed(s.adjusted_weight_of(id));
                     }
@@ -125,14 +156,14 @@ fn drive<S: Scheduler>(
             }
             // A running task stops: requeue, block or exit.
             3 | 6..=9 => {
-                let cpu = rng.below(CPUS);
+                let cpu = rng.below(cpus);
                 let Some(id) = running[cpu].take() else {
                     continue;
                 };
                 let ran = match rng.below(4) {
-                    0 => QUANTUM,
+                    0 => quantum,
                     1 => Duration::ZERO,
-                    _ => Duration::from_micros(rng.below(10_000) as u64),
+                    _ => micros(rng.below(10_000)),
                 };
                 let reason = if draining {
                     SwitchReason::Blocked
@@ -161,7 +192,7 @@ fn drive<S: Scheduler>(
                 ready_or_running.push(id);
                 for (cpu, slot) in running.iter().enumerate() {
                     if let Some(r) = *slot {
-                        let ran = Duration::from_micros(rng.below(10_000) as u64);
+                        let ran = micros(rng.below(10_000));
                         d.word(cpu as u64);
                         d.word(u64::from(s.wake_preempts(id, r, ran, now)));
                     }
@@ -179,7 +210,7 @@ fn drive<S: Scheduler>(
                 } else {
                     blocked[k - ready_or_running.len()]
                 };
-                s.set_weight(id, weight(WEIGHTS[rng.below(WEIGHTS.len())]), now);
+                s.set_weight(id, weight(weights[rng.below(weights.len())]), now);
             }
             // Kill a task that is not on a processor.
             14 => {
@@ -218,12 +249,12 @@ fn digest<S: Scheduler>(make: impl Fn() -> S, on_attach: &dyn Fn(&mut S, TaskId)
     let mut steps = 0;
     for seed in [0x5f5_2000, 0x0dd_ba11, 0xc0ff_ee00] {
         let mut s = make();
-        steps += drive(&mut s, seed, &mut d, on_attach);
+        steps += drive(&mut s, PINNED, seed, &mut d, &mut Vec::new(), on_attach);
     }
     (d.0, steps)
 }
 
-fn no_warp<S>(_: &mut S, _: TaskId) {}
+fn no_warp<S: ?Sized>(_: &mut S, _: TaskId) {}
 
 /// Every third BVT task is latency-sensitive.
 fn warp_thirds(s: &mut Bvt, id: TaskId) {
@@ -319,4 +350,64 @@ fn bvt_digest() {
         0xc9e1_9c03_347f_8f7b,
         156_944,
     );
+}
+
+/// ROADMAP item 6's time-scale relation, and the check that tags need
+/// no §3.2 renormalisation: multiplying every duration by 10⁸ changes no
+/// pick, and leaves sfq, sfs and the hierarchy with a virtual time past
+/// the old 10¹⁴ shift threshold. The scaling is exact only while every
+/// `φ` divides `SCALE`: the weights below do, the tag policies run
+/// without readjustment, and sfs and the hierarchy (which always
+/// readjust) run on one CPU, where the §2.1 walk clamps nothing. Picks
+/// only: SFS's preemption margin is a constant that does not scale.
+#[test]
+fn time_scale_invariance_past_the_old_threshold() {
+    const K: u64 = 100_000_000;
+    let old_threshold = Fixed::from_int(100_000_000_000_000);
+    let run = |spec: &str, cpus: usize, scale: u64| {
+        let script = Script {
+            cpus,
+            scale,
+            weights: [1, 1, 2, 4, 5, 8, 40, 200],
+        };
+        let spec: PolicySpec = spec.parse().unwrap();
+        // Group policies keep their default quanta: sfs and sfq only
+        // report them as a time slice, which the script never reads.
+        let spec = if spec.groups().is_empty() {
+            spec.with_quantum(QUANTUM * scale)
+        } else {
+            spec
+        };
+        let mut s = spec.build(cpus as u32);
+        let mut picks = Vec::new();
+        drive(
+            &mut *s,
+            script,
+            0x5f5_2000,
+            &mut Digest::new(),
+            &mut picks,
+            &no_warp,
+        );
+        (picks, s.virtual_time())
+    };
+    for (spec, cpus, vt_checked) in [
+        ("sfq", CPUS, true),
+        ("wfq", CPUS, false),
+        ("stride", CPUS, false),
+        ("bvt", CPUS, false),
+        ("sfs", 1, true),
+        ("sfs:groups(a*2=sfs,b=sfq)", 1, true),
+    ] {
+        let (base, _) = run(spec, cpus, 1);
+        let (scaled, v) = run(spec, cpus, K);
+        assert!(
+            base.iter().any(|&(_, id)| id != u64::MAX),
+            "{spec}: nothing ran"
+        );
+        assert!(base == scaled, "{spec}: scaling time changed a pick");
+        if vt_checked {
+            let v = v.unwrap();
+            assert!(v > old_threshold, "{spec}: v = {v} never passed 10¹⁴");
+        }
+    }
 }
