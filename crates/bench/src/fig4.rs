@@ -22,6 +22,15 @@ struct Fig4Times {
     t_end: f64,
 }
 
+impl Fig4Times {
+    /// Where all three tasks are present, inset by a fifteenth on each
+    /// side (1 s at full effort) for the quantum granularity.
+    fn window(&self) -> (f64, f64) {
+        let margin = (self.t_stop - self.t_arrive) / 15.0;
+        (self.t_arrive + margin, self.t_stop - margin)
+    }
+}
+
 fn scenario(effort: Effort) -> (Scenario, Fig4Times) {
     let duration = effort.scale(Duration::from_secs(40));
     let ns = duration.as_nanos();
@@ -86,9 +95,7 @@ pub fn run(effort: Effort) -> ExpResult {
     );
     for (panel, run) in ["(a)", "(b)"].iter().zip(&cmp.runs) {
         let rep = run.sim_report();
-        // Measure inside the window where all three tasks are present,
-        // with margin for the 200 ms quantum granularity.
-        let (w0, w1) = (times.t_arrive + 1.0, times.t_stop - 1.0);
+        let (w0, w1) = times.window();
         let g1 = gained(rep, "T1", w0, w1);
         let g2 = gained(rep, "T2", w0, w1);
         let g3 = gained(rep, "T3", w0, w1);
@@ -158,7 +165,7 @@ mod tests {
     #[test]
     fn readjustment_restores_1_2_1() {
         let (rep, times) = run_one("sfq-readjust", Effort::Quick);
-        let (w0, w1) = (times.t_arrive + 0.3, times.t_stop - 0.3);
+        let (w0, w1) = times.window();
         let g1 = gained(&rep, "T1", w0, w1);
         let g2 = gained(&rep, "T2", w0, w1);
         let g3 = gained(&rep, "T3", w0, w1);
@@ -169,7 +176,7 @@ mod tests {
     #[test]
     fn plain_sfq_starves_t1_in_the_window() {
         let (rep, times) = run_one("sfq", Effort::Quick);
-        let (w0, w1) = (times.t_arrive + 0.2, times.t_stop - 0.2);
+        let (w0, w1) = times.window();
         let g1 = gained(&rep, "T1", w0, w1);
         let g3 = gained(&rep, "T3", w0, w1);
         assert!(

@@ -41,12 +41,13 @@
 //!
 //! Cost model (p processors, n runnable threads, w distinct weights):
 //!
-//! * pick: O(w·log n + p) — each bucket contributes its head (skipping
-//!   the ≤ p currently-running entries); the location index is not
-//!   consulted,
+//! * pick: O(w + p) — one pass over the cached bucket heads, walking a
+//!   tree only past its ≤ p currently-running entries,
 //! * requeue after a quantum: O(log n) in one bucket, plus one index
 //!   lookup,
-//! * insert / remove: O(log n) in one bucket, plus one index write,
+//! * insert / remove: O(log n) in one bucket, plus one index write; a
+//!   new or emptied class also shifts the later buckets of the `φ`-sorted
+//!   `Vec`, O(w) like a pick (a `BTreeMap` walk measured far slower),
 //! * weight readjustment: migrates only the at-most-`p − 1` clamped (or
 //!   unclamped) threads between buckets — a lookup, a remove and an
 //!   insert each,
@@ -59,15 +60,21 @@
 //! so the ordered-set work above is what an operation costs.
 
 use std::collections::btree_set;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::fixed::Fixed;
 use crate::queues::tree_steps;
 use crate::task::TaskId;
 use crate::taskmap::TaskMap;
 
-/// One weight class: runnable threads ordered by `(start tag, id)`.
-type Bucket = BTreeSet<(Fixed, TaskId)>;
+/// One weight class `φ`: runnable threads ordered by `(start tag, id)`,
+/// and a copy of the first (buckets are never empty) read without a descent.
+#[derive(Debug)]
+struct Bucket {
+    phi: Fixed,
+    head: (Fixed, TaskId),
+    set: BTreeSet<(Fixed, TaskId)>,
+}
 
 /// A runnable-thread queue ordered by surplus, maintained as one
 /// start-tag-ordered bucket per distinct adjusted weight `φ`.
@@ -76,10 +83,10 @@ type Bucket = BTreeSet<(Fixed, TaskId)>;
 /// by [`TaskId`] only.
 #[derive(Debug, Default)]
 pub struct BucketQueue {
-    /// One `(S, id)`-ordered set per distinct `φ`, keyed by `φ`. Empty
+    /// One `(S, id)`-ordered set per distinct `φ`, sorted by `φ`. Empty
     /// buckets are removed eagerly so pick cost tracks the number of
     /// weight classes actually present.
-    buckets: BTreeMap<Fixed, Bucket>,
+    buckets: Vec<Bucket>,
     /// Per-task location: the bucket key `φ` and the start-tag key.
     index: TaskMap<(Fixed, Fixed)>,
     /// Cumulative event-path steps; see [`BucketQueue::steps`].
@@ -124,21 +131,18 @@ impl BucketQueue {
         self.index.get(&id).map(|&(phi, _)| phi)
     }
 
-    /// The start tag currently keyed for a task, if queued.
-    pub fn start_of(&self, id: TaskId) -> Option<Fixed> {
-        self.index.get(&id).map(|&(_, s)| s)
+    /// The minimum start tag over all queued tasks — the virtual time
+    /// `v` of §2.3 — in O(#buckets), reading the cached heads. This
+    /// subsumes the start-tag-sorted queue #2 of §3.1: its head was the
+    /// only thing the scheduler ever read from it, while its per-requeue
+    /// sorted reinsertion cost O(displacement) ≈ O(n) on the global list.
+    pub fn min_start(&self) -> Option<Fixed> {
+        self.buckets.iter().map(|b| b.head.0).min()
     }
 
-    /// The minimum start tag over all queued tasks — the virtual time
-    /// `v` of §2.3 — in O(#buckets). This subsumes the start-tag-sorted
-    /// queue #2 of §3.1: its head was the only thing the scheduler ever
-    /// read from it, while its per-requeue sorted reinsertion cost
-    /// O(displacement) ≈ O(n) on the global list.
-    pub fn min_start(&self) -> Option<Fixed> {
-        self.buckets
-            .values()
-            .filter_map(|b| b.first().map(|&(s, _)| s))
-            .min()
+    /// The position of the `phi` bucket, or where it would be inserted.
+    fn slot(&self, phi: Fixed) -> Result<usize, usize> {
+        self.buckets.binary_search_by(|b| b.phi.cmp(&phi))
     }
 
     /// Iterates all queued task ids in ascending id order.
@@ -158,11 +162,11 @@ impl BucketQueue {
     fn cursors(&self) -> Vec<Cursor<'_>> {
         self.buckets
             .iter()
-            .map(|(&phi, bucket)| {
-                let mut it = bucket.iter();
+            .map(|bucket| {
+                let mut it = bucket.set.iter();
                 let head = it.next().copied();
                 Cursor {
-                    phi,
+                    phi: bucket.phi,
                     head,
                     rest: it,
                 }
@@ -176,10 +180,17 @@ impl BucketQueue {
     ///
     /// Panics (in debug builds) if the task is already queued.
     pub fn insert(&mut self, id: TaskId, phi: Fixed, start_tag: Fixed) {
-        let bucket = self.buckets.entry(phi).or_default();
-        self.steps += tree_steps(bucket.len());
-        let fresh = bucket.insert((start_tag, id));
+        let key = (start_tag, id);
+        let at = self.slot(phi).unwrap_or_else(|at| {
+            let (head, set) = (key, BTreeSet::new());
+            self.buckets.insert(at, Bucket { phi, head, set });
+            at
+        });
+        let bucket = &mut self.buckets[at];
+        self.steps += tree_steps(bucket.set.len());
+        let fresh = bucket.set.insert(key);
         debug_assert!(fresh, "task {id} queued twice");
+        bucket.head = bucket.head.min(key);
         let prev = self.index.insert(id, (phi, start_tag));
         debug_assert!(prev.is_none(), "task {id} indexed twice");
     }
@@ -194,12 +205,15 @@ impl BucketQueue {
             .index
             .remove(&id)
             .expect("removing task not in bucket queue");
-        let bucket = self.buckets.get_mut(&phi).expect("bucket missing");
-        self.steps += tree_steps(bucket.len());
-        let removed = bucket.remove(&(start_tag, id));
+        let at = self.slot(phi).expect("bucket missing");
+        let bucket = &mut self.buckets[at];
+        self.steps += tree_steps(bucket.set.len());
+        let removed = bucket.set.remove(&(start_tag, id));
         debug_assert!(removed, "bucket entry missing for {id}");
-        if bucket.is_empty() {
-            self.buckets.remove(&phi);
+        if bucket.set.is_empty() {
+            self.buckets.remove(at);
+        } else if bucket.head == (start_tag, id) {
+            bucket.head = *bucket.set.first().expect("bucket is non-empty");
         }
     }
 
@@ -213,10 +227,17 @@ impl BucketQueue {
         let entry = self.index.get_mut(&id).expect("updating unqueued task");
         let (phi, old_start) = *entry;
         entry.1 = start_tag;
-        let bucket = self.buckets.get_mut(&phi).expect("bucket missing");
-        self.steps += 2 * tree_steps(bucket.len());
-        bucket.remove(&(old_start, id));
-        bucket.insert((start_tag, id));
+        let at = self.slot(phi).expect("bucket missing");
+        let bucket = &mut self.buckets[at];
+        self.steps += 2 * tree_steps(bucket.set.len());
+        bucket.set.remove(&(old_start, id));
+        let key = (start_tag, id);
+        bucket.set.insert(key);
+        if bucket.head == (old_start, id) {
+            bucket.head = *bucket.set.first().expect("bucket is non-empty");
+        } else {
+            bucket.head = bucket.head.min(key);
+        }
     }
 
     /// Moves a task to a different weight class, preserving its start
@@ -243,11 +264,12 @@ impl BucketQueue {
     /// (surplus, start-tag, id) tie-break of the original algorithm.
     /// Also returns the number of queue entries examined.
     ///
-    /// Per bucket only the head and any non-ready (currently running)
-    /// entries in front of it are visited — the bucket's `(S, id)` order
-    /// *is* the tie-break order, so the first ready entry is the
-    /// bucket's exact minimum. Buckets whose head already exceeds the
-    /// best surplus are skipped without scanning.
+    /// Per bucket only the cached head and any non-ready (currently
+    /// running) entries in front of it are visited — the bucket's
+    /// `(S, id)` order *is* the tie-break order, so the first ready
+    /// entry is the bucket's exact minimum. The tree is walked only
+    /// when the head is not ready. Buckets whose head already exceeds
+    /// the best surplus are skipped without scanning.
     pub fn min_surplus(
         &self,
         v: Fixed,
@@ -255,29 +277,28 @@ impl BucketQueue {
     ) -> (Option<(Fixed, Fixed, TaskId)>, u64) {
         let mut best: Option<(Fixed, Fixed, TaskId)> = None;
         let mut scanned = 0u64;
-        for (&phi, bucket) in &self.buckets {
-            if let (Some(&(head_s, _)), Some((ba, _, _))) = (bucket.first(), best) {
-                // φ·(head_S − v) lower-bounds every surplus in this
-                // bucket; a strictly larger bound can never win (ties
-                // could still win on the (S, id) tie-break).
-                if phi.mul_fixed(head_s - v) > ba {
-                    scanned += 1;
-                    continue;
-                }
+        for bucket in &self.buckets {
+            scanned += 1;
+            let (s, id) = bucket.head;
+            let alpha = bucket.phi.mul_fixed(s - v);
+            // φ·(head_S − v) lower-bounds every surplus in this bucket;
+            // a strictly larger bound can never win (ties could still
+            // win on the (S, id) tie-break).
+            if best.is_some_and(|(ba, _, _)| alpha > ba) {
+                continue;
             }
-            for &(s, id) in bucket {
-                scanned += 1;
-                if !ready(id) {
-                    continue;
-                }
-                // First ready entry: the bucket's minimum (α, S, id) —
-                // later entries are ≥ in (S, id) and surplus is
-                // non-decreasing in S.
-                let cand = (phi.mul_fixed(s - v), s, id);
-                if best.is_none_or(|b| cand < b) {
-                    best = Some(cand);
-                }
-                break;
+            // First ready entry: the bucket's minimum (α, S, id) — later
+            // entries are ≥ in (S, id) and surplus is non-decreasing in S.
+            let cand = if ready(id) {
+                Some((alpha, s, id))
+            } else {
+                bucket.set.iter().skip(1).find_map(|&(s, id)| {
+                    scanned += 1;
+                    ready(id).then(|| (bucket.phi.mul_fixed(s - v), s, id))
+                })
+            };
+            if cand.is_some_and(|c| best.is_none_or(|b| c < b)) {
+                best = cand;
             }
         }
         (best, scanned)
@@ -297,20 +318,20 @@ impl BucketQueue {
         ready: impl Fn(TaskId) -> bool,
     ) -> Option<(Fixed, Fixed, TaskId)> {
         let mut best: Option<(Fixed, Fixed, TaskId)> = None;
-        for (&phi, bucket) in &self.buckets {
-            if let (Some(&(tail_s, _)), Some((ba, _, _))) = (bucket.last(), best) {
+        for bucket in &self.buckets {
+            if let (Some(&(tail_s, _)), Some((ba, _, _))) = (bucket.set.last(), best) {
                 // φ·(tail_S − v) upper-bounds every surplus in this
                 // bucket; a strictly smaller bound can never win.
-                if phi.mul_fixed(tail_s - v) < ba {
+                if bucket.phi.mul_fixed(tail_s - v) < ba {
                     continue;
                 }
             }
-            for &(s, id) in bucket.iter().rev() {
+            for &(s, id) in bucket.set.iter().rev() {
                 if !ready(id) {
                     continue;
                 }
                 // Last ready entry: the bucket's maximum (α, S, id).
-                let cand = (phi.mul_fixed(s - v), s, id);
+                let cand = (bucket.phi.mul_fixed(s - v), s, id);
                 if best.is_none_or(|b| cand > b) {
                     best = Some(cand);
                 }
@@ -334,10 +355,10 @@ impl BucketQueue {
     ) -> (Option<TaskId>, u64) {
         let mut best: Option<(Fixed, Fixed, TaskId)> = None;
         let mut scanned = 0u64;
-        for (&phi, bucket) in &self.buckets {
-            for &(s, id) in bucket {
+        for bucket in &self.buckets {
+            for &(s, id) in &bucket.set {
                 scanned += 1;
-                let alpha = phi.mul_fixed(s - v);
+                let alpha = bucket.phi.mul_fixed(s - v);
                 if alpha > cutoff {
                     break;
                 }
@@ -365,18 +386,26 @@ impl BucketQueue {
         }
     }
 
-    /// Debug invariant check: every bucket is non-empty, the index
-    /// matches the buckets, and every entry's key equals the start tag
-    /// `start_of` reports for its task.
+    /// Debug invariant check: buckets are strictly `φ`-sorted, every one
+    /// is non-empty with its cached head equal to its first entry, the
+    /// index matches the buckets, and every entry's key equals the start
+    /// tag `start_of` reports for its task.
     #[doc(hidden)]
     pub fn check_invariants(&self, start_of: impl Fn(TaskId) -> Fixed) {
+        let sorted = self.buckets.windows(2).all(|w| w[0].phi < w[1].phi);
+        assert!(sorted, "buckets out of φ order");
         let mut seen = 0usize;
-        for (&phi, bucket) in &self.buckets {
-            assert!(!bucket.is_empty(), "empty bucket for phi {phi}");
-            for &(key, id) in bucket {
+        for bucket in &self.buckets {
+            assert_eq!(
+                Some(&bucket.head),
+                bucket.set.first(),
+                "stale head for phi {}",
+                bucket.phi
+            );
+            for &(key, id) in &bucket.set {
                 seen += 1;
                 let &(iphi, istart) = self.index.get(&id).expect("task missing from index");
-                assert_eq!(iphi, phi, "index phi mismatch for {id}");
+                assert_eq!(iphi, bucket.phi, "index phi mismatch for {id}");
                 assert_eq!(istart, key, "index start mismatch for {id}");
                 assert_eq!(key, start_of(id), "stale start-tag key for {id}");
             }
@@ -456,7 +485,6 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.num_buckets(), 2);
         assert_eq!(q.phi_of(TaskId(3)), Some(fx(1)));
-        assert_eq!(q.start_of(TaskId(3)), Some(fx(7)));
         q.check_invariants(|id| match id.0 {
             1 => fx(10),
             2 => fx(5),
@@ -533,10 +561,11 @@ mod tests {
         assert!(!q.set_phi(TaskId(1), fx(2)), "no-op migration");
         assert_eq!(q.num_buckets(), 2);
         assert_eq!(q.phi_of(TaskId(1)), Some(fx(2)));
-        assert_eq!(q.start_of(TaskId(1)), Some(fx(100)), "start tag kept");
+        // The start tag is kept across the move.
+        q.check_invariants(|id| if id.0 == 1 { fx(100) } else { fx(50) });
         q.remove(TaskId(2));
         assert_eq!(q.num_buckets(), 1, "empty bucket pruned");
-        q.check_invariants(|id| if id.0 == 1 { fx(100) } else { fx(50) });
+        q.check_invariants(|_| fx(100));
     }
 
     #[test]
@@ -547,7 +576,13 @@ mod tests {
         q.update_start(TaskId(1), fx(9));
         let (best, _) = q.min_surplus(Fixed::ZERO, |_| true);
         assert_eq!(best, Some((fx(2), fx(2), TaskId(2))));
-        assert_eq!(q.start_of(TaskId(1)), Some(fx(9)));
+        q.check_invariants(|id| if id.0 == 1 { fx(9) } else { fx(2) });
+        // The cached head follows an entry that moves in front of it, and
+        // stays put when a later entry moves further back.
+        q.update_start(TaskId(1), fx(0));
+        assert_eq!(q.min_start(), Some(fx(0)));
+        q.update_start(TaskId(2), fx(5));
+        q.check_invariants(|id| if id.0 == 1 { fx(0) } else { fx(5) });
     }
 
     #[test]

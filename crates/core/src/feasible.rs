@@ -111,11 +111,6 @@ impl FeasibleWeights {
         self.len == 0
     }
 
-    /// Sum of raw weights over the runnable set.
-    pub fn total_weight(&self) -> u128 {
-        self.total
-    }
-
     /// Cumulative event-path steps: class-map updates plus readjustment
     /// bookkeeping.
     pub fn event_steps(&self) -> u64 {
@@ -422,15 +417,18 @@ mod tests {
 
     #[test]
     fn total_weight_tracks_mutations() {
+        // On 2 CPUs a weight-100 task stays clamped to the total of the
+        // others (§2.1 with p − 1 = 1), so the cap reads the running total.
         let mut f = FeasibleWeights::new(2, true);
+        f.insert(TaskId(0), weight(100));
         f.insert(TaskId(1), weight(3));
         f.insert(TaskId(2), weight(4));
-        assert_eq!(f.total_weight(), 7);
+        assert_eq!(f.cap(), Some(Fixed::from_int(7)));
         f.set_weight(TaskId(2), weight(4), weight(10));
-        assert_eq!(f.total_weight(), 13);
+        assert_eq!(f.cap(), Some(Fixed::from_int(13)));
         f.remove(TaskId(1), weight(3));
-        assert_eq!(f.total_weight(), 10);
-        assert_eq!(f.len(), 1);
+        assert_eq!(f.cap(), Some(Fixed::from_int(10)));
+        assert_eq!(f.len(), 2);
     }
 
     #[test]

@@ -27,6 +27,13 @@
 //! for `Q ≥ 2²⁰` ns.) The bound covers tags only: a shift never changed
 //! a difference such as `S − v` or a surplus, so the range of surplus
 //! arithmetic is the same with or without one.
+//!
+//! Width costs time: an `i128` division is a runtime-library call, and
+//! every surplus `φ·(S − v)` is one. So `mul_fixed`, `div_fixed` and
+//! `div_into_int` compute `a·m/d` in `i64` when the operands and `a·m`
+//! fit (and the quotient is not `i64::MIN / −1`), else in `i128`. The
+//! result is the same bit for bit: both widths then hold the same exact
+//! product, and both truncate its quotient toward zero.
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -35,6 +42,17 @@ use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 pub const SCALE: i128 = 10_000;
 
 const _: () = assert!((u32::MAX as i128) * (u64::MAX as i128) <= i128::MAX / (SCALE * SCALE));
+
+/// `a · m / d`, truncated toward zero, in the narrowest width that holds
+/// it (see the module docs).
+#[inline(always)]
+fn mul_div(a: i128, m: i128, d: i128) -> i128 {
+    let narrow = || {
+        let p = i64::try_from(a).ok()?.checked_mul(i64::try_from(m).ok()?)?;
+        p.checked_div(i64::try_from(d).ok()?)
+    };
+    narrow().map_or_else(|| a * m / d, i128::from)
+}
 
 /// A fixed-point number with [`SCALE`] fractional resolution.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -100,7 +118,7 @@ impl Fixed {
     ///
     /// `(a * SCALE) * (b * SCALE) / SCALE = a*b * SCALE`.
     pub fn mul_fixed(self, rhs: Fixed) -> Fixed {
-        Fixed(self.0 * rhs.0 / SCALE)
+        Fixed(mul_div(self.0, rhs.0, SCALE))
     }
 
     /// Divides two fixed-point values, rescaling the quotient.
@@ -110,7 +128,7 @@ impl Fixed {
     /// Panics if `rhs` is zero.
     pub fn div_fixed(self, rhs: Fixed) -> Fixed {
         assert!(rhs.0 != 0, "div_fixed: division by zero");
-        Fixed(self.0 * SCALE / rhs.0)
+        Fixed(mul_div(self.0, SCALE, rhs.0))
     }
 
     /// Divides an unscaled integer quantity (e.g. a quantum length in
@@ -125,7 +143,7 @@ impl Fixed {
         assert!(self.0 != 0, "div_into_int: zero weight");
         // `q * SCALE * SCALE / mantissa` keeps the result in fixed-point:
         // q/(mantissa/SCALE) scaled by SCALE.
-        Fixed(q as i128 * SCALE * SCALE / self.0)
+        Fixed(mul_div(q as i128, SCALE * SCALE, self.0))
     }
 }
 
@@ -292,6 +310,59 @@ mod tests {
             let exact = q as f64 / w as f64;
             // Relative error bounded by the fixed-point resolution.
             prop_assert!((got - exact).abs() <= 1.0 / SCALE as f64 + exact * 1e-12);
+        }
+    }
+
+    /// Mantissas within 2²⁰ of where a width limit falls: ±2⁶³ (an
+    /// operand), ±2⁶³/`SCALE` (`div_fixed`'s product), ±√2⁶³
+    /// (`mul_fixed`'s), `i64::MAX`/`SCALE²` and `u64::MAX`/`SCALE²`
+    /// (`div_into_int`'s quantity), and zero.
+    fn near_width_limits() -> impl Strategy<Value = i128> {
+        const ANCHORS: [i128; 9] = [
+            0,
+            1 << 63,
+            -(1 << 63),
+            (1 << 63) / SCALE,
+            -(1 << 63) / SCALE,
+            3_037_000_499,
+            -3_037_000_499,
+            i64::MAX as i128 / (SCALE * SCALE),
+            u64::MAX as i128 / (SCALE * SCALE),
+        ];
+        (0..ANCHORS.len(), -(1i64 << 20)..1 << 20).prop_map(|(k, off)| ANCHORS[k] + off as i128)
+    }
+
+    #[test]
+    fn i64_min_over_minus_one_takes_the_wide_path() {
+        // The one `i64` quotient that overflows. `SCALE` and `SCALE²`
+        // keep every public operation off it, so drive the helper too.
+        assert_eq!(mul_div(i64::MIN.into(), 1, -1), 1 << 63);
+        let min = Fixed::from_raw(i64::MIN.into());
+        let got = min.div_fixed(Fixed::from_raw(-1)).raw();
+        assert_eq!(got, -(i64::MIN as i128) * SCALE);
+    }
+
+    // The references are the `i128` expressions each operation was
+    // before it gained a narrow path.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn mul_fixed_equals_the_wide_expression(a in near_width_limits(), b in near_width_limits()) {
+            prop_assert_eq!(Fixed(a).mul_fixed(Fixed(b)).raw(), a * b / SCALE);
+        }
+
+        #[test]
+        fn div_fixed_equals_the_wide_expression(a in near_width_limits(), b in near_width_limits()) {
+            prop_assume!(b != 0);
+            prop_assert_eq!(Fixed(a).div_fixed(Fixed(b)).raw(), a * SCALE / b);
+        }
+
+        #[test]
+        fn div_into_int_equals_the_wide_expression(q in near_width_limits(), phi in near_width_limits()) {
+            prop_assume!(phi != 0);
+            let q = q.unsigned_abs() as u64;
+            prop_assert_eq!(Fixed(phi).div_into_int(q).raw(), q as i128 * SCALE * SCALE / phi);
         }
     }
 }

@@ -393,7 +393,6 @@ impl IndexedList {
 #[derive(Debug, Clone, Default)]
 pub struct KeyCounter {
     keys: std::collections::BTreeMap<Fixed, u32>,
-    len: usize,
     steps: u64,
 }
 
@@ -401,16 +400,6 @@ impl KeyCounter {
     /// Creates an empty counter.
     pub fn new() -> KeyCounter {
         KeyCounter::default()
-    }
-
-    /// Number of keys tracked (with multiplicity).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no key is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Cumulative structure steps (the comparison depth of each map
@@ -429,7 +418,6 @@ impl KeyCounter {
     pub fn insert(&mut self, key: Fixed) {
         self.steps += self.op_steps();
         *self.keys.entry(key).or_insert(0) += 1;
-        self.len += 1;
     }
 
     /// Removes one occurrence of `key`.
@@ -444,7 +432,6 @@ impl KeyCounter {
         if *count == 0 {
             self.keys.remove(&key);
         }
-        self.len -= 1;
     }
 
     /// Moves one occurrence from `old` to `new`.

@@ -50,7 +50,7 @@
 //! O(position) sorted scan. The decision sequence is identical to the
 //! resort-based implementation — a differential test drives both in
 //! lockstep — only the per-decision cost changes
-//! (O(#weight-classes·log n) instead of O(n)). The bounded-lookahead
+//! (O(#weight-classes + p) instead of O(n)). The bounded-lookahead
 //! heuristic of §3.2 and the fixed-point tags are retained.
 //!
 //! # Per-task state
@@ -235,11 +235,6 @@ impl Sfs {
         phi.mul_fixed(start_tag - self.v)
     }
 
-    /// [`eff_phi`] under this instance's readjustment and snapshot.
-    fn eff_phi(&self, id: TaskId, w: Weight) -> Fixed {
-        eff_phi(&self.feas, &self.gsnap, id, w)
-    }
-
     /// Pulls a newer globally published feasibility snapshot, if one
     /// exists, and migrates the affected runnable tasks to their new
     /// weight-class buckets. The fast path is a single atomic epoch
@@ -352,8 +347,8 @@ impl Sfs {
 
     /// The fresh surplus of `id` (computed from live tags).
     fn fresh_surplus(&self, id: TaskId) -> Fixed {
-        let e = &self.tasks[&id];
-        self.surplus(self.eff_phi(id, e.task.weight), e.task.start_tag)
+        let task = &self.tasks[&id].task;
+        self.surplus(task.phi, task.start_tag)
     }
 
     /// The §3.2 heuristic pick: examine the first `k` entries of the
@@ -371,7 +366,7 @@ impl Sfs {
             if !matches!(e.task.state, TaskState::Ready) {
                 return;
             }
-            let alpha = sfs.surplus(sfs.eff_phi(id, e.task.weight), e.task.start_tag);
+            let alpha = sfs.surplus(e.task.phi, e.task.start_tag);
             let cand = (alpha, e.task.start_tag, id);
             if best.is_none_or(|b| cand < b) {
                 *best = Some(cand);
@@ -454,7 +449,7 @@ impl Sfs {
                     e.task.start_tag,
                     v
                 );
-                let phi = self.eff_phi(id, e.task.weight);
+                let phi = eff_phi(&self.feas, &self.gsnap, id, e.task.weight);
                 assert_eq!(e.task.phi, phi, "stale φ recorded for {id}");
                 assert_eq!(
                     self.buckets.phi_of(id),
@@ -591,12 +586,7 @@ impl Scheduler for Sfs {
     /// blocked tasks it is the raw weight (no clamp applies outside the
     /// runnable set), kept fresh across `set_weight` while blocked.
     fn adjusted_weight_of(&self, id: TaskId) -> Option<Fixed> {
-        let e = self.tasks.get(&id)?;
-        if e.task.state.is_runnable() {
-            Some(self.eff_phi(id, e.task.weight))
-        } else {
-            Some(e.task.phi)
-        }
+        self.tasks.get(&id).map(|e| e.task.phi)
     }
 
     fn wake(&mut self, id: TaskId, _now: Time) {
@@ -689,14 +679,13 @@ impl Scheduler for Sfs {
         let task = &mut e.task;
         let w = task.weight;
         // "φ_i is its instantaneous weight at the end of the quantum"
-        // (§2.3): read it before the runnable set changes.
-        let phi = eff_phi(&self.feas, &self.gsnap, id, w);
+        // (§2.3): the stored one, kept current by every readjustment.
+        let phi = task.phi;
         debug_assert_eq!(
-            self.buckets.phi_of(id),
-            Some(phi),
-            "running task's bucket φ out of sync"
+            phi,
+            eff_phi(&self.feas, &self.gsnap, id, w),
+            "running task's stored φ out of sync"
         );
-        task.phi = phi;
         // F_i = S_i + q / φ_i (Eq. 5), with the *actual* usage q.
         let finish_tag = task.start_tag + phi.div_into_int(ran.as_nanos());
         task.finish_tag = finish_tag;
@@ -746,11 +735,10 @@ impl Scheduler for Sfs {
         if !matches!(we.task.state, TaskState::Ready) || !re.task.state.is_running() {
             return false;
         }
-        let woken_alpha = self.surplus(self.eff_phi(woken, we.task.weight), we.task.start_tag);
+        let woken_alpha = self.surplus(we.task.phi, we.task.start_tag);
         // Charge the running thread its in-flight CPU time:
         // φ · (S + q/φ − v) = φ·(S − v) + q.
-        let running_alpha = self.surplus(self.eff_phi(running, re.task.weight), re.task.start_tag)
-            + duration_fx(ran_so_far);
+        let running_alpha = self.surplus(re.task.phi, re.task.start_tag) + duration_fx(ran_so_far);
         woken_alpha + self.preempt_margin_fx < running_alpha
     }
 
@@ -768,8 +756,7 @@ impl Scheduler for Sfs {
         if !e.task.state.is_runnable() {
             return None;
         }
-        let alpha = self.surplus(self.eff_phi(id, e.task.weight), e.task.start_tag);
-        Some(alpha + duration_fx(ran_so_far))
+        Some(self.surplus(e.task.phi, e.task.start_tag) + duration_fx(ran_so_far))
     }
 
     fn nr_runnable(&self) -> usize {

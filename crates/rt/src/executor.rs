@@ -81,7 +81,6 @@ struct CpuSlot {
 
 struct RtTask {
     id: TaskId,
-    name: String,
     /// Tenant group the task attached under (admission buckets and
     /// hierarchical accounting).
     tenant: Option<TenantId>,
@@ -569,11 +568,6 @@ impl TaskHandle {
     pub fn service(&self) -> Duration {
         // relaxed: stats read; joiners get exactness from thread join.
         Duration::from_nanos(self.task.service_ns.load(Ordering::Relaxed))
-    }
-
-    /// The task's name.
-    pub fn name(&self) -> &str {
-        &self.task.name
     }
 
     /// Waits for the task's thread to finish.
@@ -1128,7 +1122,6 @@ impl Executor {
             };
             let task = Arc::new(RtTask {
                 id,
-                name: name.to_string(),
                 tenant,
                 admitted,
                 shard: AtomicUsize::new(shard),
