@@ -381,8 +381,7 @@ impl Sfs {
             scanned += 1;
             consider(self, id, &mut best);
         }
-        let light: Vec<TaskId> = self.feas.iter_asc().take(k).map(|(_, id)| id).collect();
-        for id in light {
+        for (_, id) in self.feas.iter_asc().take(k) {
             scanned += 1;
             consider(self, id, &mut best);
         }
@@ -395,8 +394,7 @@ impl Sfs {
             // full scan so work conservation holds.
             None => {
                 let mut fallback: Option<(Fixed, Fixed, TaskId)> = None;
-                let ids: Vec<TaskId> = self.buckets.ids().collect();
-                for id in ids {
+                for id in self.buckets.ids() {
                     consider(self, id, &mut fallback);
                 }
                 fallback.map(|(_, _, id)| id)

@@ -44,12 +44,12 @@ use sfs_trace::{CounterTrack, TraceEvent, TraceRecorder};
 use sfs_workloads::{Behavior, BehaviorSpec, Phase};
 
 use crate::trace::{RunHealth, SimReport, TaskLabel, Trace};
-use crate::wheel::TimingWheel;
+use crate::wheel::{TimingWheel, KEEP_CAPACITY};
 
 /// Recording runs flush the local event buffer to the shared recorder
-/// whenever it reaches this many events, so a streaming sink can write
-/// chunks to disk while the run is still in flight (and a mega-scale
-/// traced run never holds the whole event stream in one buffer).
+/// whenever it reaches this many events: the recorder is a shared,
+/// locked handle, so this costs one lock acquisition per 32 k events
+/// instead of one per event.
 const TRACE_FLUSH_EVENTS: usize = 32 * 1024;
 
 /// Simulator configuration.
@@ -253,9 +253,13 @@ pub struct Simulator {
     /// Locally buffered trace events: the simulator is single-threaded,
     /// so events accumulate in a plain `Vec` (one push per event, no
     /// lock) and flush into the shared recorder in [`TRACE_FLUSH_EVENTS`]
-    /// chunks — incrementally, so streaming sinks see completed chunks
-    /// while the run is in flight.
+    /// chunks, one recorder lock per chunk.
     trace_buf: Vec<TraceEvent>,
+    /// Running CPUs offered to wake preemption, refilled per wake.
+    candidates: Vec<(usize, TaskId, Duration)>,
+    /// [`Simulator::on_tick_batch`]'s working lists, kept between
+    /// batches so neither a wake nor a batch allocates.
+    tick: TickScratch,
     /// True once any arrived task carries a tenant — lets the slice-end
     /// recording hook skip the per-event tenant lookup in the common
     /// tenant-less case.
@@ -308,6 +312,8 @@ impl Simulator {
             events_processed: 0,
             rec: TraceRecorder::off(),
             trace_buf: Vec::new(),
+            candidates: Vec::new(),
+            tick: TickScratch::default(),
             tenants_present: false,
             last_readjust: (0, 0),
             admission: None,
@@ -627,14 +633,12 @@ impl Simulator {
     /// then wake preemption is checked per made-runnable task in event
     /// order.
     fn on_tick_batch(&mut self, batch: &[EvKind]) {
-        let mut made_runnable: Vec<TaskId> = Vec::with_capacity(batch.len());
-        let mut attaches: Vec<(TaskId, Weight, Option<TenantId>)> = Vec::new();
-        let mut wakes: Vec<TaskId> = Vec::new();
+        let mut tick = std::mem::take(&mut self.tick);
         for ev in batch {
             match *ev {
                 EvKind::Arrive(idx) => {
                     if let Some(id) = self.admit_arrival(idx) {
-                        self.resolve_batched(id, &mut attaches, &mut wakes, &mut made_runnable);
+                        self.resolve_batched(id, &mut tick);
                     }
                 }
                 EvKind::Wake(id) => {
@@ -644,17 +648,19 @@ impl Simulator {
                     if self.delay_dropped_wake(id) {
                         continue;
                     }
-                    self.resolve_batched(id, &mut attaches, &mut wakes, &mut made_runnable);
+                    self.resolve_batched(id, &mut tick);
                 }
                 _ => unreachable!("only arrivals and wakes batch"),
             }
         }
-        self.flush_attaches(&mut attaches);
-        self.flush_wakes(&mut wakes);
+        self.flush_attaches(&mut tick.attaches);
+        self.flush_wakes(&mut tick.wakes);
         self.dispatch_all();
-        for id in made_runnable {
+        for &id in &tick.made_runnable {
             self.preempt_check(id);
         }
+        tick.reset();
+        self.tick = tick;
     }
 
     fn flush_attaches(&mut self, buf: &mut Vec<(TaskId, Weight, Option<TenantId>)>) {
@@ -678,13 +684,7 @@ impl Simulator {
     /// scheduler insertion in the pending same-operation run (flushing
     /// the *other* operation's run first, so at most one is ever
     /// pending and the scheduler-call order is preserved).
-    fn resolve_batched(
-        &mut self,
-        id: TaskId,
-        attaches: &mut Vec<(TaskId, Weight, Option<TenantId>)>,
-        wakes: &mut Vec<TaskId>,
-        made_runnable: &mut Vec<TaskId>,
-    ) {
+    fn resolve_batched(&mut self, id: TaskId, tick: &mut TickScratch) {
         let i = TaskArena::idx(id);
         match self.resolve_next_phase(id) {
             Resolved::Compute(d) => {
@@ -692,16 +692,16 @@ impl Simulator {
                 self.tasks.last_wake[i] = self.now;
                 self.tasks.awaiting_response[i] = true;
                 if self.tasks.attached[i] {
-                    self.flush_attaches(attaches);
-                    wakes.push(id);
+                    self.flush_attaches(&mut tick.attaches);
+                    tick.wakes.push(id);
                     if let Some(g) = &mut self.gms {
                         g.set_runnable(id, true);
                     }
                 } else {
-                    self.flush_wakes(wakes);
+                    self.flush_wakes(&mut tick.wakes);
                     let weight = self.tasks.weight[i];
                     let tenant = self.tasks.tenant[i];
-                    attaches.push((id, weight, tenant));
+                    tick.attaches.push((id, weight, tenant));
                     self.tasks.attached[i] = true;
                     if let Some(g) = &mut self.gms {
                         g.add(id, weight, true);
@@ -714,7 +714,7 @@ impl Simulator {
                         task: id,
                     });
                 }
-                made_runnable.push(id);
+                tick.made_runnable.push(id);
             }
             Resolved::Sleep(until) => {
                 self.tasks.state[i] = TState::Sleeping;
@@ -724,8 +724,8 @@ impl Simulator {
                 if self.tasks.attached[i] {
                     // The detach must hit the scheduler at its exact
                     // position in the event order.
-                    self.flush_attaches(attaches);
-                    self.flush_wakes(wakes);
+                    self.flush_attaches(&mut tick.attaches);
+                    self.flush_wakes(&mut tick.wakes);
                     self.sched.detach(id, self.now);
                 }
                 self.finish_task(id);
@@ -1223,17 +1223,14 @@ impl Simulator {
         if self.tasks.state[TaskArena::idx(woken)] != TState::Ready {
             return;
         }
-        let candidates: Vec<(usize, TaskId, Duration)> = self
-            .cpus
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
+        self.candidates.clear();
+        self.candidates
+            .extend(self.cpus.iter().enumerate().filter_map(|(i, c)| {
                 c.current
                     .map(|running| (i, running, self.now.since(c.dispatched_at)))
-            })
-            .collect();
+            }));
         let Some((i, running)) =
-            select_preemption_victim(self.sched.as_ref(), woken, &candidates, self.now)
+            select_preemption_victim(self.sched.as_ref(), woken, &self.candidates, self.now)
         else {
             return;
         };
@@ -1314,6 +1311,29 @@ enum Resolved {
     Compute(Duration),
     Sleep(Time),
     Exit,
+}
+
+/// The pending same-operation runs of one tick batch and the tasks it
+/// made runnable (see [`Simulator::on_tick_batch`]). Empty between
+/// batches; only the capacity carries over.
+#[derive(Default)]
+struct TickScratch {
+    attaches: Vec<(TaskId, Weight, Option<TenantId>)>,
+    wakes: Vec<TaskId>,
+    made_runnable: Vec<TaskId>,
+}
+
+impl TickScratch {
+    /// Empties the lists (the pending runs are already flushed) and, as
+    /// the wheel does with its slot buffers, frees what a burst grew
+    /// past [`KEEP_CAPACITY`]: a mega-scale t = 0 arrival wave must not
+    /// pin its lists for the rest of the run.
+    fn reset(&mut self) {
+        self.made_runnable.clear();
+        self.attaches.shrink_to(KEEP_CAPACITY);
+        self.wakes.shrink_to(KEEP_CAPACITY);
+        self.made_runnable.shrink_to(KEEP_CAPACITY);
+    }
 }
 
 #[cfg(test)]

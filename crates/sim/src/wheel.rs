@@ -28,7 +28,24 @@
 //! slot index, and `now`'s upper bits only change when all lower levels
 //! are empty. Pushes *at* the current time while the slot is being
 //! consumed re-occupy it and are re-drained afterwards — their `seq` is
-//! larger than anything already popped, so order is preserved.
+//! larger than anything already popped, so order is preserved. A front
+//! slot above level 0 holding a single entry becomes `cur` directly: a
+//! cascade would carry that entry down alone and leave the clock at its
+//! time, which is the state the shortcut leaves too.
+//!
+//! ## Buffer recycling
+//!
+//! Drained slot buffers are reused, not freed. An unoccupied slot holds
+//! a capacity-less `Vec`; its first push takes a buffer from the `free`
+//! list, and its drain gives one back (the level-0 drain swaps the slot
+//! in as `cur` and gives back the consumed `cur`). So after warm-up push,
+//! pop and cascade allocate only when more slots are occupied at once
+//! than ever before, or a slot outgrows its recycled buffer
+//! (`tests/alloc_guard.rs` pins this). One buffer per slot would not
+//! do: slot indices at levels ≥ 4 advance with the clock, so first
+//! touches never end. A buffer grown past `KEEP_CAPACITY` entries is
+//! freed on drain instead, so a one-off burst (a mega-scale t = 0
+//! arrival slot) does not pin megabytes for the rest of the run.
 
 /// Bits per wheel level: 64 slots each.
 const BITS: u32 = 6;
@@ -39,6 +56,9 @@ const MASK: u64 = SLOTS as u64 - 1;
 /// Levels needed so `LEVELS * BITS >= 64`: the top level spans the
 /// entire remaining `u64` range.
 const LEVELS: usize = 11;
+/// Largest capacity, in entries, a drained buffer keeps for reuse;
+/// the engine's per-batch lists share the cap.
+pub(crate) const KEEP_CAPACITY: usize = 4096;
 
 struct Entry<T> {
     time: u64,
@@ -59,6 +79,9 @@ pub struct TimingWheel<T> {
     /// The current level-0 slot, drained and sorted by **descending**
     /// `seq` so consumption is `Vec::pop` from the back.
     cur: Vec<Entry<T>>,
+    /// Drained, empty buffers, capacity kept, for the next slot that
+    /// goes from unoccupied to occupied.
+    free: Vec<Vec<Entry<T>>>,
 }
 
 impl<T> TimingWheel<T> {
@@ -72,6 +95,7 @@ impl<T> TimingWheel<T> {
             now: 0,
             len: 0,
             cur: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -112,8 +136,17 @@ impl<T> TimingWheel<T> {
             (63 - diff.leading_zeros()) as usize / BITS as usize
         };
         let slot = ((e.time >> (BITS as usize * level)) & MASK) as usize;
-        self.occ[level] |= 1 << slot;
-        self.slots[level * SLOTS + slot].push(e);
+        let bit = 1u64 << slot;
+        let buf = &mut self.slots[level * SLOTS + slot];
+        if self.occ[level] & bit == 0 {
+            // An unoccupied slot holds a capacity-less `Vec`, so
+            // replacing it frees nothing.
+            if let Some(recycled) = self.free.pop() {
+                *buf = recycled;
+            }
+            self.occ[level] |= bit;
+        }
+        buf.push(e);
     }
 
     /// Ensures `cur` holds the front slot's entries. Returns false iff
@@ -138,10 +171,13 @@ impl<T> TimingWheel<T> {
                 let slot = w.trailing_zeros() as usize;
                 self.occ[level] &= !(1u64 << slot);
                 let mut entries = std::mem::take(&mut self.slots[level * SLOTS + slot]);
-                if level == 0 {
-                    self.now = (self.now & !MASK) | slot as u64;
+                // A level-0 slot's entries share one timestamp; a lone
+                // entry higher up skips its cascade (see the module docs).
+                if level == 0 || entries.len() == 1 {
+                    self.now = entries[0].time;
                     entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.seq));
-                    self.cur = entries;
+                    let consumed = std::mem::replace(&mut self.cur, entries);
+                    self.recycle(consumed);
                     return true;
                 }
                 // Cascade: advance `now` to the start of this slot's
@@ -157,9 +193,18 @@ impl<T> TimingWheel<T> {
                 for e in entries.drain(..) {
                     self.insert_raw(e);
                 }
+                self.recycle(entries);
                 continue 'scan;
             }
             unreachable!("timing wheel: len > 0 but no occupied slot");
+        }
+    }
+
+    /// Keeps a drained, empty buffer for the next slot to be occupied,
+    /// unless a burst grew it past [`KEEP_CAPACITY`].
+    fn recycle(&mut self, buf: Vec<Entry<T>>) {
+        if buf.capacity() <= KEEP_CAPACITY {
+            self.free.push(buf);
         }
     }
 

@@ -9,8 +9,9 @@
 //!    increasing counter). The lockstep tests here pin that promise
 //!    against the heap itself, across every delta scale the wheel
 //!    treats differently: same-tick (delta 0), within one level-0
-//!    window (< 64 ns), level-1/2 spans, and far-future times that
-//!    cascade down four or more levels.
+//!    window (< 64 ns), level-1/2 spans, the 2¹⁸–2³⁰ ns band of the
+//!    simulator's quantum timers and wakes, and far-future times that
+//!    cascade down five or more levels.
 //!
 //! 2. The engine now applies same-tick event runs through
 //!    `arrive_batch` / `wake_batch`. Those entry points must be
@@ -44,13 +45,17 @@ enum WheelOp {
 
 /// Deltas at every scale the wheel handles differently: same tick,
 /// within the current level-0 window, across level-1/2 slot
-/// boundaries, and far-future times that live four or more levels up.
+/// boundaries, the simulator's quantum-timer and wake band (2¹⁸–2³⁰
+/// ns: 1–20 ms timers and 100 ms wakes, which cascade through the
+/// recycled slot buffers from level 3 or 4), and far-future times that
+/// live five or more levels up.
 fn wheel_op() -> impl Strategy<Value = WheelOp> {
     prop_oneof![
         Just(WheelOp::Push(0)),
         (0u64..64).prop_map(WheelOp::Push),
         (0u64..4096).prop_map(WheelOp::Push),
         (0u64..(1 << 18)).prop_map(WheelOp::Push),
+        ((1u64 << 18)..(1u64 << 30)).prop_map(WheelOp::Push),
         ((1u64 << 30)..(1u64 << 41)).prop_map(WheelOp::Push),
         Just(WheelOp::Pop),
         Just(WheelOp::Pop),
@@ -128,13 +133,14 @@ fn wheel_matches_heap_through_a_long_deterministic_churn() {
     };
     let mut ops = Vec::with_capacity(50_000);
     for _ in 0..50_000 {
-        ops.push(match next() % 9 {
+        ops.push(match next() % 10 {
             0 => WheelOp::Push(0),
             1 => WheelOp::Push(next() % 64),
             2 => WheelOp::Push(next() % 4096),
             3 => WheelOp::Push(next() % (1 << 20)),
-            4 => WheelOp::Push((1 << 30) + next() % (1 << 40)),
-            5..=7 => WheelOp::Pop,
+            4 => WheelOp::Push((1 << 18) + next() % ((1 << 30) - (1 << 18))),
+            5 => WheelOp::Push((1 << 30) + next() % (1 << 40)),
+            6..=8 => WheelOp::Pop,
             _ => WheelOp::Peek,
         });
     }
