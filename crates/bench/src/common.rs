@@ -55,7 +55,7 @@ pub struct ExpResult {
     pub text: String,
     /// CSV artefacts: (file name, contents).
     pub csv: Vec<(String, String)>,
-    /// Key findings, as (metric, value) pairs for EXPERIMENTS.md.
+    /// Key findings, as (metric, value) pairs, printed after the text.
     pub summary: Vec<(String, String)>,
     /// True when the experiment is a gate (lint, verify) and its check
     /// failed — the `repro` driver exits non-zero so CI goes red.

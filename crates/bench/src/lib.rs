@@ -6,7 +6,7 @@
 //! | Module | Paper artefact |
 //! |---|---|
 //! | [`fig1`] | Figure 1 / Example 1 (infeasible-weights starvation) |
-//! | [`fig3`] | Figure 3 (heuristic accuracy) |
+//! | [`fig3`] | Figure 3, as the counted cost of the exact pick (the §3.2 heuristic it measured is subsumed) |
 //! | [`fig4`] | Figure 4(a,b) (readjustment fixes SFQ) |
 //! | [`fig5`] | Figure 5(a,b) (short-jobs problem, SFQ vs SFS) |
 //! | [`fig6`] | Figure 6(a,b,c) (allocation, isolation, interactivity) |

@@ -59,7 +59,6 @@
 //! [`TaskMap`]: an index lookup is two indexed loads, with no hashing,
 //! so the ordered-set work above is what an operation costs.
 
-use std::collections::btree_set;
 use std::collections::BTreeSet;
 
 use crate::fixed::Fixed;
@@ -143,35 +142,6 @@ impl BucketQueue {
     /// The position of the `phi` bucket, or where it would be inserted.
     fn slot(&self, phi: Fixed) -> Result<usize, usize> {
         self.buckets.binary_search_by(|b| b.phi.cmp(&phi))
-    }
-
-    /// Iterates all queued task ids in ascending id order.
-    pub fn ids(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.index.keys()
-    }
-
-    /// Iterates all queued tasks in ascending `(S, id)` order (a lazy
-    /// merge over the bucket heads), yielding `(S, id)` — the start-tag
-    /// queue view the §3.2 heuristic scans.
-    pub fn iter_by_start(&self) -> StartIter<'_> {
-        StartIter {
-            cursors: self.cursors(),
-        }
-    }
-
-    fn cursors(&self) -> Vec<Cursor<'_>> {
-        self.buckets
-            .iter()
-            .map(|bucket| {
-                let mut it = bucket.set.iter();
-                let head = it.next().copied();
-                Cursor {
-                    phi: bucket.phi,
-                    head,
-                    rest: it,
-                }
-            })
-            .collect()
     }
 
     /// Queues a task in the `phi` weight class with the given start tag.
@@ -341,51 +311,6 @@ impl BucketQueue {
         best
     }
 
-    /// The best `(α, S, id)` candidate among ready tasks whose surplus
-    /// under `v` is within `cutoff` and for which `prefer` holds — the
-    /// processor-affinity scan. Returns the winner (`None` if no such
-    /// task exists) and the number of queue entries examined, so
-    /// per-decision scan accounting stays honest when affinity walks
-    /// long tie runs under the cutoff.
-    pub fn affinity_best(
-        &self,
-        v: Fixed,
-        cutoff: Fixed,
-        prefer: impl Fn(TaskId) -> bool,
-    ) -> (Option<TaskId>, u64) {
-        let mut best: Option<(Fixed, Fixed, TaskId)> = None;
-        let mut scanned = 0u64;
-        for bucket in &self.buckets {
-            for &(s, id) in &bucket.set {
-                scanned += 1;
-                let alpha = bucket.phi.mul_fixed(s - v);
-                if alpha > cutoff {
-                    break;
-                }
-                if !prefer(id) {
-                    continue;
-                }
-                let cand = (alpha, s, id);
-                if best.is_none_or(|b| cand < b) {
-                    best = Some(cand);
-                }
-            }
-        }
-        (best.map(|(_, _, id)| id), scanned)
-    }
-
-    /// Iterates all queued tasks in ascending `(α, S, id)` order under
-    /// `v` (a lazy merge over the bucket heads), yielding `(α, id)`.
-    /// Each step costs O(#buckets); `take(k)` gives the §3.2 heuristic
-    /// its "first k entries of the surplus queue" without any stored
-    /// surplus keys existing.
-    pub fn iter_by_surplus(&self, v: Fixed) -> SurplusIter<'_> {
-        SurplusIter {
-            v,
-            cursors: self.cursors(),
-        }
-    }
-
     /// Debug invariant check: buckets are strictly `φ`-sorted, every one
     /// is non-empty with its cached head equal to its first entry, the
     /// index matches the buckets, and every entry's key equals the start
@@ -411,60 +336,6 @@ impl BucketQueue {
             }
         }
         assert_eq!(seen, self.index.len(), "index/bucket length mismatch");
-    }
-}
-
-struct Cursor<'a> {
-    phi: Fixed,
-    head: Option<(Fixed, TaskId)>,
-    rest: btree_set::Iter<'a, (Fixed, TaskId)>,
-}
-
-/// Lazy ascending-surplus merge over the buckets; see
-/// [`BucketQueue::iter_by_surplus`].
-pub struct SurplusIter<'a> {
-    v: Fixed,
-    cursors: Vec<Cursor<'a>>,
-}
-
-impl Iterator for SurplusIter<'_> {
-    type Item = (Fixed, TaskId);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let v = self.v;
-        let (pos, _) = self
-            .cursors
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.head.map(|(s, id)| (i, (c.phi.mul_fixed(s - v), s, id))))
-            .min_by_key(|&(_, key)| key)?;
-        let cursor = &mut self.cursors[pos];
-        let (s, id) = cursor.head.take().expect("cursor head vanished");
-        cursor.head = cursor.rest.next().copied();
-        Some((cursor.phi.mul_fixed(s - v), id))
-    }
-}
-
-/// Lazy ascending-start-tag merge over the buckets; see
-/// [`BucketQueue::iter_by_start`].
-pub struct StartIter<'a> {
-    cursors: Vec<Cursor<'a>>,
-}
-
-impl Iterator for StartIter<'_> {
-    type Item = (Fixed, TaskId);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (pos, _) = self
-            .cursors
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.head.map(|key| (i, key)))
-            .min_by_key(|&(_, key)| key)?;
-        let cursor = &mut self.cursors[pos];
-        let head = cursor.head.take().expect("cursor head vanished");
-        cursor.head = cursor.rest.next().copied();
-        Some(head)
     }
 }
 
@@ -586,19 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn surplus_iter_merges_in_alpha_order() {
-        let mut q = BucketQueue::new();
-        q.insert(TaskId(1), fx(1), fx(10)); // α = 10
-        q.insert(TaskId(2), fx(2), fx(3)); // α = 6
-        q.insert(TaskId(3), fx(1), fx(8)); // α = 8
-        q.insert(TaskId(4), fx(4), fx(3)); // α = 12
-        let order: Vec<u64> = q.iter_by_surplus(Fixed::ZERO).map(|(_, id)| id.0).collect();
-        assert_eq!(order, vec![2, 3, 1, 4]);
-        let alphas: Vec<Fixed> = q.iter_by_surplus(Fixed::ZERO).map(|(a, _)| a).collect();
-        assert_eq!(alphas, vec![fx(6), fx(8), fx(10), fx(12)]);
-    }
-
-    #[test]
     fn min_start_and_start_iter_span_buckets() {
         let mut q = BucketQueue::new();
         assert_eq!(q.min_start(), None);
@@ -606,11 +464,6 @@ mod tests {
         q.insert(TaskId(2), fx(7), fx(3));
         q.insert(TaskId(3), fx(1), fx(5));
         assert_eq!(q.min_start(), Some(fx(3)));
-        let order: Vec<u64> = q.iter_by_start().map(|(_, id)| id.0).collect();
-        assert_eq!(order, vec![2, 3, 1]);
-        let mut ids: Vec<u64> = q.ids().map(|id| id.0).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2, 3]);
     }
 
     #[test]
@@ -634,21 +487,6 @@ mod tests {
             q.max_surplus(fx(3), |_| true),
             Some((fx(7), fx(10), TaskId(1)))
         );
-    }
-
-    #[test]
-    fn affinity_best_respects_cutoff_and_filter() {
-        let mut q = BucketQueue::new();
-        q.insert(TaskId(1), fx(1), fx(2)); // α = 2
-        q.insert(TaskId(2), fx(1), fx(4)); // α = 4
-        q.insert(TaskId(3), fx(2), fx(1)); // α = 2
-        let (pick, _) = q.affinity_best(Fixed::ZERO, fx(3), |id| id == TaskId(2));
-        assert_eq!(pick, None, "T2's surplus exceeds the cutoff");
-        let (pick, scanned) = q.affinity_best(Fixed::ZERO, fx(4), |id| id == TaskId(2));
-        assert_eq!(pick, Some(TaskId(2)));
-        assert!(scanned >= 3, "affinity scan work must be reported");
-        let (pick, _) = q.affinity_best(Fixed::ZERO, fx(4), |_| true);
-        assert_eq!(pick, Some(TaskId(3)), "min (α, S, id) among eligible");
     }
 
     #[test]

@@ -236,17 +236,6 @@ impl FeasibleWeights {
         self.cap
     }
 
-    /// Iterates runnable tasks in ascending weight order (the backwards
-    /// scan used by the scheduling heuristic, §3.2 footnote 8), ids
-    /// descending within one weight class.
-    pub fn iter_asc(&self) -> impl Iterator<Item = (Fixed, TaskId)> + '_ {
-        self.classes.iter().flat_map(|(&w, ids)| {
-            ids.iter()
-                .rev()
-                .map(move |&id| (Fixed::from_int(w as i64), id))
-        })
-    }
-
     /// Drains the set of tasks whose instantaneous weight `φ` changed in
     /// the most recent mutation (`insert`/`remove`/`set_weight`): tasks
     /// newly clamped, newly unclamped, or still clamped while the cap
@@ -429,20 +418,6 @@ mod tests {
         f.remove(TaskId(1), weight(3));
         assert_eq!(f.cap(), Some(Fixed::from_int(10)));
         assert_eq!(f.len(), 2);
-    }
-
-    #[test]
-    fn iter_asc_orders_by_weight_then_descending_id() {
-        let mut f = FeasibleWeights::new(2, true);
-        for (i, w) in [5u64, 3, 9, 1, 5].iter().enumerate() {
-            f.insert(TaskId(i as u64), weight(*w));
-        }
-        let asc: Vec<_> = f.iter_asc().map(|(_, id)| id).collect();
-        // Ascending weights, descending ids within the tied class.
-        assert_eq!(
-            asc,
-            vec![TaskId(3), TaskId(1), TaskId(4), TaskId(0), TaskId(2)]
-        );
     }
 
     #[test]

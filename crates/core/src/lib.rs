@@ -16,8 +16,8 @@
 //! * [`sfs`] — surplus fair scheduling itself (§2.3), with the §3.1
 //!   kernel queue structure upgraded to a per-weight-class bucket queue
 //!   ([`mod@buckets`]) that makes the exact pick O(#weight-classes)
-//!   instead of O(n), plus the bounded-lookahead heuristic and
-//!   fixed-point tags (§3).
+//!   instead of O(n) — which subsumes the §3.2 bounded-lookahead
+//!   heuristic — and fixed-point tags (§3).
 //! * [`hier`] — hierarchical SFS over tenant groups (`sfs:groups(...)`):
 //!   the top level runs SFS with each group's share as its weight
 //!   (group-level §2.1 readjustment included) and each group's member

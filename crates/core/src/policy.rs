@@ -130,12 +130,14 @@ impl fmt::Display for PolicyKind {
 ///
 /// ```
 /// use sfs_core::policy::{GroupSpec, PolicySpec};
+/// use sfs_core::time::Duration;
 ///
+/// let frontend = PolicySpec::sfs().with_quantum(Duration::from_millis(5));
 /// let spec = PolicySpec::sfs_over([
 ///     GroupSpec::new("batch", PolicySpec::sfq()),
-///     GroupSpec::new("frontend", PolicySpec::sfs().with_heuristic(4)).with_share(3),
+///     GroupSpec::new("frontend", frontend).with_share(3),
 /// ]);
-/// assert_eq!(spec.to_string(), "sfs:groups(batch=sfq,frontend*3=sfs:heuristic=4)");
+/// assert_eq!(spec.to_string(), "sfs:groups(batch=sfq,frontend*3=sfs:quantum=5ms)");
 /// assert_eq!(spec, spec.to_string().parse().unwrap());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -248,9 +250,6 @@ pub struct PolicySpec {
     kind: PolicyKind,
     quantum: Option<Duration>,
     readjust: bool,
-    heuristic: Option<usize>,
-    affinity_margin: Option<Duration>,
-    audit: bool,
     ticks: Option<i64>,
     shards: Option<u32>,
     rebalance: Option<Duration>,
@@ -265,9 +264,6 @@ impl PolicySpec {
             kind,
             quantum: None,
             readjust: false,
-            heuristic: None,
-            affinity_margin: None,
-            audit: false,
             ticks: None,
             shards: None,
             rebalance: None,
@@ -429,60 +425,6 @@ impl PolicySpec {
         self
     }
 
-    /// Enables the §3.2 bounded-lookahead heuristic, examining `k`
-    /// entries per queue (SFS only).
-    ///
-    /// # Panics
-    ///
-    /// Panics for non-SFS kinds.
-    #[must_use]
-    pub fn with_heuristic(mut self, k: usize) -> PolicySpec {
-        assert!(
-            self.kind == PolicyKind::Sfs,
-            "`heuristic` does not apply to {}",
-            self.kind
-        );
-        self.assert_flat("heuristic");
-        self.heuristic = Some(k);
-        self
-    }
-
-    /// Enables the §5 processor-affinity extension with the given
-    /// surplus margin (SFS only).
-    ///
-    /// # Panics
-    ///
-    /// Panics for non-SFS kinds.
-    #[must_use]
-    pub fn with_affinity_margin(mut self, margin: Duration) -> PolicySpec {
-        assert!(
-            self.kind == PolicyKind::Sfs,
-            "`affinity` does not apply to {}",
-            self.kind
-        );
-        self.assert_flat("affinity");
-        self.affinity_margin = Some(margin);
-        self
-    }
-
-    /// Audits every heuristic pick against the exact choice (Fig. 3;
-    /// SFS only).
-    ///
-    /// # Panics
-    ///
-    /// Panics for non-SFS kinds.
-    #[must_use]
-    pub fn with_audit(mut self) -> PolicySpec {
-        assert!(
-            self.kind == PolicyKind::Sfs,
-            "`audit` does not apply to {}",
-            self.kind
-        );
-        self.assert_flat("audit");
-        self.audit = true;
-        self
-    }
-
     /// Sets the per-epoch tick grant (time sharing only).
     ///
     /// # Panics
@@ -632,9 +574,6 @@ impl PolicySpec {
                 if let Some(q) = self.quantum {
                     cfg.quantum = q;
                 }
-                cfg.heuristic = self.heuristic;
-                cfg.affinity_margin = self.affinity_margin;
-                cfg.audit_heuristic = self.audit;
                 cfg.phi_snapshot = snapshot.map(Arc::clone);
                 Box::new(Sfs::with_config(cpus, cfg))
             }
@@ -672,12 +611,6 @@ impl fmt::Display for PolicySpec {
         if let Some(t) = self.ticks {
             emit(f, format_args!("ticks={t}"))?;
         }
-        if let Some(k) = self.heuristic {
-            emit(f, format_args!("heuristic={k}"))?;
-        }
-        if let Some(m) = self.affinity_margin {
-            emit(f, format_args!("affinity={}", Literal(m)))?;
-        }
         if !self.groups.is_empty() {
             let inner = self
                 .groups
@@ -698,9 +631,6 @@ impl fmt::Display for PolicySpec {
         }
         if self.readjust {
             emit(f, format_args!("readjust"))?;
-        }
-        if self.audit {
-            emit(f, format_args!("audit"))?;
         }
         Ok(())
     }
@@ -820,19 +750,6 @@ impl FromStr for PolicySpec {
                     want_flag(value)?;
                     spec.readjust = true;
                 }
-                "heuristic" => {
-                    check(kind == PolicyKind::Sfs)?;
-                    spec.heuristic = Some(parse_num(want_value()?, "heuristic")?);
-                }
-                "affinity" => {
-                    check(kind == PolicyKind::Sfs)?;
-                    spec.affinity_margin = Some(parse_duration(want_value()?)?);
-                }
-                "audit" => {
-                    check(kind == PolicyKind::Sfs)?;
-                    want_flag(value)?;
-                    spec.audit = true;
-                }
                 "ticks" => {
                     check(kind == PolicyKind::TimeSharing)?;
                     let t: i64 = parse_num(want_value()?, "ticks")?;
@@ -859,12 +776,7 @@ impl FromStr for PolicySpec {
         if spec.rebalance.is_some() && spec.shards.is_none() {
             return Err(ParsePolicyError::new("`rebalance` requires `shards`"));
         }
-        if !spec.groups.is_empty()
-            && (spec.quantum.is_some()
-                || spec.heuristic.is_some()
-                || spec.affinity_margin.is_some()
-                || spec.audit)
-        {
+        if !spec.groups.is_empty() && spec.quantum.is_some() {
             return Err(ParsePolicyError::new(
                 "per-task options do not apply to a `groups(...)` spec; \
                  set them on the group policies",
@@ -1024,11 +936,7 @@ mod tests {
     #[test]
     fn configured_specs_round_trip() {
         let specs = [
-            PolicySpec::sfs()
-                .with_quantum(Duration::from_millis(5))
-                .with_heuristic(20)
-                .with_affinity_margin(Duration::from_millis(10))
-                .with_audit(),
+            PolicySpec::sfs().with_quantum(Duration::from_millis(5)),
             PolicySpec::sfq()
                 .with_quantum(Duration::from_micros(1500))
                 .with_readjustment(),
@@ -1048,9 +956,9 @@ mod tests {
             assert_eq!(s.parse::<PolicySpec>().unwrap(), spec, "{s}");
         }
         // Zero reads back from either spelling and prints as `0s`.
-        for zero in ["sfs:affinity=0ns", "sfs:affinity=0s"] {
+        for zero in ["sfs:shards=2,rebalance=0ns", "sfs:shards=2,rebalance=0s"] {
             let spec: PolicySpec = zero.parse().unwrap();
-            assert_eq!(spec.to_string(), "sfs:affinity=0s");
+            assert_eq!(spec.to_string(), "sfs:shards=2,rebalance=0s");
         }
     }
 
@@ -1122,6 +1030,20 @@ mod tests {
             err.to_string().contains("unknown option \"refresh\""),
             "{err}"
         );
+        // The removed §3.2 heuristic, its audit and the affinity margin
+        // are unknown options, also inside a group.
+        for removed in [
+            "sfs:heuristic=4",
+            "sfs:affinity=1ms",
+            "sfs:audit",
+            "sfs:groups(a=sfs:heuristic=4)",
+        ] {
+            let err = removed.parse::<PolicySpec>().unwrap_err();
+            assert!(
+                err.to_string().contains("unknown option"),
+                "{removed}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1129,7 +1051,10 @@ mod tests {
         let specs = [
             PolicySpec::sfs_over([
                 GroupSpec::new("batch", PolicySpec::sfq()),
-                GroupSpec::new("frontend", PolicySpec::sfs().with_heuristic(4)),
+                GroupSpec::new(
+                    "frontend",
+                    PolicySpec::sfs().with_quantum(Duration::from_millis(5)),
+                ),
             ]),
             PolicySpec::sfs_over([
                 GroupSpec::new("a", PolicySpec::round_robin()).with_share(3),
@@ -1157,7 +1082,7 @@ mod tests {
     #[test]
     fn grouped_grammar_examples() {
         // The issue's literal example parses and round-trips.
-        let spec: PolicySpec = "sfs:groups(batch=sfq,frontend=sfs:heuristic=4)"
+        let spec: PolicySpec = "sfs:groups(batch=sfq,frontend=sfs:quantum=5ms)"
             .parse()
             .unwrap();
         assert_eq!(spec.groups().len(), 2);
@@ -1168,7 +1093,7 @@ mod tests {
         assert_eq!(spec.tenant_of("nope"), None);
         assert_eq!(
             spec.to_string(),
-            "sfs:groups(batch=sfq,frontend=sfs:heuristic=4)"
+            "sfs:groups(batch=sfq,frontend=sfs:quantum=5ms)"
         );
         // Shares and parenthesised multi-option sub-specs.
         let spec: PolicySpec = "sfs:groups(a*3=rr,b=(sfq:quantum=1ms,readjust))"
@@ -1208,7 +1133,7 @@ mod tests {
             "sfs:groups(a b=sfs)",
             "sfq:groups(a=sfs)",
             "sfs:groups(a=sfs),quantum=5ms",
-            "sfs:heuristic=4,groups(a=sfs)",
+            "sfs:quantum=5ms,groups(a=sfs)",
             "sfs:groups(a=sfs),groups(b=sfs)",
         ] {
             assert!(bad.parse::<PolicySpec>().is_err(), "{bad:?} parsed");
@@ -1246,7 +1171,7 @@ mod tests {
     fn admission_grammar_examples() {
         // The issue's literal colon-chained spelling parses...
         let spec: PolicySpec =
-            "sfs:groups(batch=sfq,frontend=sfs:heuristic=4):admit(max=1000,rate=500/s)"
+            "sfs:groups(batch=sfq,frontend=sfs:quantum=5ms):admit(max=1000,rate=500/s)"
                 .parse()
                 .unwrap();
         let admit = spec.admission().expect("admission parsed");
@@ -1257,7 +1182,7 @@ mod tests {
         // back to the same spec (exact parse ∘ Display round-trip).
         assert_eq!(
             spec.to_string(),
-            "sfs:groups(batch=sfq,frontend=sfs:heuristic=4),admit(max=1000,rate=500/s)"
+            "sfs:groups(batch=sfq,frontend=sfs:quantum=5ms),admit(max=1000,rate=500/s)"
         );
         assert_eq!(spec.to_string().parse::<PolicySpec>().unwrap(), spec);
         // Colons also separate plain options.
@@ -1300,7 +1225,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not apply to a hierarchical spec")]
     fn builder_rejects_per_task_option_on_hier() {
-        let _ = PolicySpec::sfs_over([GroupSpec::new("a", PolicySpec::sfs())]).with_heuristic(4);
+        let _ = PolicySpec::sfs_over([GroupSpec::new("a", PolicySpec::sfs())])
+            .with_quantum(Duration::from_millis(5));
     }
 
     #[test]

@@ -50,8 +50,8 @@ impl SwitchReason {
 }
 
 /// Counters describing the work a scheduler has done; used by the
-/// overhead experiments (Table 1, Fig. 7) and the heuristic-accuracy
-/// experiment (Fig. 3).
+/// overhead experiments (Table 1, Fig. 7) and the pick-cost experiment
+/// (Fig. 3).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Calls to `pick_next` that returned a task.
@@ -67,14 +67,12 @@ pub struct SchedStats {
     pub readjust_calls: u64,
     /// Threads whose weight was clamped across all readjustments.
     pub weights_clamped: u64,
-    /// Picks served by the bounded-lookahead heuristic (§3.2).
+    /// Always 0: no policy implements the §3.2 bounded-lookahead
+    /// heuristic (SFS's exact pick subsumes it). Kept only because
+    /// `benchmark/` records this field.
     pub heuristic_picks: u64,
-    /// Queue entries examined across all heuristic picks.
+    /// Always 0, like `heuristic_picks`.
     pub heuristic_scans: u64,
-    /// Heuristic picks audited against the exact algorithm (Fig. 3).
-    pub heuristic_audits: u64,
-    /// Audited picks where the heuristic chose a true minimum-surplus task.
-    pub heuristic_hits: u64,
     /// Always 0: tags never wrap (see `fixed.rs`), so nothing
     /// renormalises them (§3.2). Kept only because `benchmark/` records
     /// every `SchedStats` field.
@@ -126,8 +124,6 @@ impl SchedStats {
             weights_clamped: self.weights_clamped + o.weights_clamped,
             heuristic_picks: self.heuristic_picks + o.heuristic_picks,
             heuristic_scans: self.heuristic_scans + o.heuristic_scans,
-            heuristic_audits: self.heuristic_audits + o.heuristic_audits,
-            heuristic_hits: self.heuristic_hits + o.heuristic_hits,
             renormalizations: self.renormalizations + o.renormalizations,
             migrations: self.migrations + o.migrations,
             bucket_migrations: self.bucket_migrations + o.bucket_migrations,

@@ -50,8 +50,16 @@
 //! O(position) sorted scan. The decision sequence is identical to the
 //! resort-based implementation — a differential test drives both in
 //! lockstep — only the per-decision cost changes
-//! (O(#weight-classes + p) instead of O(n)). The bounded-lookahead
-//! heuristic of §3.2 and the fixed-point tags are retained.
+//! (O(#weight-classes + p) instead of O(n)). The fixed-point tags are
+//! retained.
+//!
+//! **Deviation:** the bounded-lookahead heuristic of §3.2 is not
+//! implemented. It exists to avoid the O(n) re-sort above; the exact
+//! O(#weight-classes + p) pick subsumes it — its surplus-order
+//! candidates *are* the exact order, so it could only miss while the
+//! first `k` entries were running. Figure 3 is reproduced instead as
+//! the counted cost of the exact pick (`bucket_scans / picks`) at 100 to
+//! 400 threads.
 //!
 //! # Per-task state
 //!
@@ -92,18 +100,6 @@ const PREEMPT_MARGIN: Duration = Duration::from_micros(100);
 pub struct SfsConfig {
     /// Maximum quantum granted per dispatch (paper test-bed: 200 ms).
     pub quantum: Duration,
-    /// `Some(k)`: use the §3.2 heuristic, examining the first `k`
-    /// entries of the start-tag order, the surplus order and the
-    /// backwards weight queue instead of scanning every bucket head.
-    /// `None`: exact algorithm.
-    pub heuristic: Option<usize>,
-    /// Audit every heuristic pick against the exact choice (Fig. 3).
-    pub audit_heuristic: bool,
-    /// Processor-affinity extension (§5 future work): when picking for
-    /// a CPU, prefer a ready thread that last ran on it if its surplus
-    /// is within this margin (in CPU time) of the minimum. `None`
-    /// disables affinity (the paper's SFS).
-    pub affinity_margin: Option<Duration>,
     /// Globally published feasibility snapshot to honour in addition to
     /// the local readjustment, when this instance runs as one shard of
     /// a [`ShardedScheduler`](crate::shard::ShardedScheduler). The pick
@@ -115,9 +111,6 @@ impl Default for SfsConfig {
     fn default() -> SfsConfig {
         SfsConfig {
             quantum: Duration::from_millis(200),
-            heuristic: None,
-            audit_heuristic: false,
-            affinity_margin: None,
             phi_snapshot: None,
         }
     }
@@ -159,7 +152,8 @@ fn link_runnable(
 #[derive(Debug)]
 struct Entry {
     task: TagTask,
-    /// The processor this task last ran on (affinity extension).
+    /// The processor this task last ran on, so that a pick on another
+    /// CPU counts a migration.
     last_cpu: Option<CpuId>,
 }
 
@@ -178,11 +172,8 @@ pub struct Sfs {
     buckets: BucketQueue,
     /// Virtual time base used when computing surpluses.
     v: Fixed,
-    /// The affinity cutoff margin as a [`Fixed`], precomputed once at
-    /// construction (it used to be rebuilt from `margin.as_nanos()` on
-    /// every exact pick).
-    affinity_margin_fx: Option<Fixed>,
-    /// The wake-preemption margin, likewise precomputed.
+    /// The wake-preemption margin as a [`Fixed`], precomputed once at
+    /// construction.
     preempt_margin_fx: Fixed,
     /// Publisher of the global feasibility snapshot, when sharded.
     gcell: Option<Arc<SnapshotCell>>,
@@ -206,7 +197,6 @@ impl Sfs {
     /// Panics if `cpus` is zero.
     pub fn with_config(cpus: u32, cfg: SfsConfig) -> Sfs {
         assert!(cpus > 0, "need at least one processor");
-        let affinity_margin_fx = cfg.affinity_margin.map(duration_fx);
         let preempt_margin_fx = duration_fx(PREEMPT_MARGIN);
         let gcell = cfg.phi_snapshot.clone();
         let gsnap = gcell.as_ref().map(|c| c.load());
@@ -217,7 +207,6 @@ impl Sfs {
             feas: FeasibleWeights::new(cpus, true),
             buckets: BucketQueue::new(),
             v: Fixed::ZERO,
-            affinity_margin_fx,
             preempt_margin_fx,
             gcell,
             gsnap,
@@ -313,111 +302,6 @@ impl Sfs {
         }
     }
 
-    /// The exact pick: least surplus among ready threads, with
-    /// deterministic tie-breaking by (surplus, start tag, id) so the
-    /// exact and heuristic modes agree whenever the heuristic sees the
-    /// whole queue. Returns the pick and the number of queue entries
-    /// examined (O(#buckets + #running + tie-run), not O(n)).
-    ///
-    /// With the affinity extension enabled, a ready thread that last
-    /// ran on `cpu` is preferred if its surplus is within the margin of
-    /// the minimum — the §5 "combine processor affinities with
-    /// proportional-share scheduling" direction, bounded so fairness
-    /// loss cannot exceed the margin per decision.
-    fn pick_exact(&self, cpu: CpuId) -> (Option<TaskId>, u64) {
-        let (best, scanned) = self.buckets.min_surplus(self.v, |id| {
-            matches!(self.tasks[&id].task.state, TaskState::Ready)
-        });
-        let Some((best_alpha, _, best_id)) = best else {
-            return (None, scanned);
-        };
-        if let Some(margin) = self.affinity_margin_fx {
-            let cutoff = best_alpha + margin;
-            let (preferred, affinity_scanned) = self.buckets.affinity_best(self.v, cutoff, |id| {
-                let e = &self.tasks[&id];
-                matches!(e.task.state, TaskState::Ready) && e.last_cpu == Some(cpu)
-            });
-            if let Some(id) = preferred {
-                return (Some(id), scanned + affinity_scanned);
-            }
-            return (Some(best_id), scanned + affinity_scanned);
-        }
-        (Some(best_id), scanned)
-    }
-
-    /// The fresh surplus of `id` (computed from live tags).
-    fn fresh_surplus(&self, id: TaskId) -> Fixed {
-        let task = &self.tasks[&id].task;
-        self.surplus(task.phi, task.start_tag)
-    }
-
-    /// The §3.2 heuristic pick: examine the first `k` entries of the
-    /// start-tag queue, the surplus order (a lazy merge over the bucket
-    /// heads), and the weight queue scanned backwards (smallest weights
-    /// first, footnote 8), and take the minimum surplus among those
-    /// candidates. With the bucket queue the surplus order is always
-    /// exact, so the heuristic's accuracy is limited only by running
-    /// threads hiding behind the first `k` entries.
-    fn pick_heuristic(&mut self, k: usize) -> Option<TaskId> {
-        let mut best: Option<(Fixed, Fixed, TaskId)> = None;
-        let mut scanned = 0u64;
-        let consider = |sfs: &Sfs, id: TaskId, best: &mut Option<(Fixed, Fixed, TaskId)>| {
-            let e = &sfs.tasks[&id];
-            if !matches!(e.task.state, TaskState::Ready) {
-                return;
-            }
-            let alpha = sfs.surplus(e.task.phi, e.task.start_tag);
-            let cand = (alpha, e.task.start_tag, id);
-            if best.is_none_or(|b| cand < b) {
-                *best = Some(cand);
-            }
-        };
-
-        for (_, id) in self.buckets.iter_by_start().take(k) {
-            scanned += 1;
-            consider(self, id, &mut best);
-        }
-        for (_, id) in self.buckets.iter_by_surplus(self.v).take(k) {
-            scanned += 1;
-            consider(self, id, &mut best);
-        }
-        for (_, id) in self.feas.iter_asc().take(k) {
-            scanned += 1;
-            consider(self, id, &mut best);
-        }
-        self.stats.heuristic_scans += scanned;
-        self.stats.heuristic_picks += 1;
-
-        let picked = match best {
-            Some((_, _, id)) => Some(id),
-            // The lookahead may see only running threads; fall back to a
-            // full scan so work conservation holds.
-            None => {
-                let mut fallback: Option<(Fixed, Fixed, TaskId)> = None;
-                for id in self.buckets.ids() {
-                    consider(self, id, &mut fallback);
-                }
-                fallback.map(|(_, _, id)| id)
-            }
-        };
-
-        if self.cfg.audit_heuristic {
-            if let Some(chosen) = picked {
-                self.stats.heuristic_audits += 1;
-                let exact_min = self
-                    .buckets
-                    .ids()
-                    .filter(|id| matches!(self.tasks[id].task.state, TaskState::Ready))
-                    .map(|id| self.fresh_surplus(id))
-                    .min();
-                if exact_min == Some(self.fresh_surplus(chosen)) {
-                    self.stats.heuristic_hits += 1;
-                }
-            }
-        }
-        picked
-    }
-
     /// Immutable view of a task's tag state, for tests and tracing.
     pub fn tags_of(&self, id: TaskId) -> Option<&TagTask> {
         self.tasks.get(&id).map(|e| &e.task)
@@ -461,11 +345,7 @@ impl Sfs {
 
 impl Scheduler for Sfs {
     fn name(&self) -> &'static str {
-        if self.cfg.heuristic.is_some() {
-            "SFS(heuristic)"
-        } else {
-            "SFS"
-        }
+        "SFS"
     }
 
     fn cpus(&self) -> u32 {
@@ -648,14 +528,14 @@ impl Scheduler for Sfs {
         }
         self.sync_v();
 
-        let picked = match self.cfg.heuristic {
-            None => {
-                let (picked, scanned) = self.pick_exact(cpu);
-                self.stats.bucket_scans += scanned;
-                picked
-            }
-            Some(k) => self.pick_heuristic(k),
-        }?;
+        // The exact pick: least surplus among ready threads, ties broken
+        // by (surplus, start tag, id), after examining
+        // O(#weight-classes + #running) queue entries, not O(n).
+        let (best, scanned) = self.buckets.min_surplus(self.v, |id| {
+            matches!(self.tasks[&id].task.state, TaskState::Ready)
+        });
+        self.stats.bucket_scans += scanned;
+        let (_, _, picked) = best?;
 
         let e = self.tasks.get_mut(&picked).expect("picked a queued task");
         if matches!(e.last_cpu, Some(prev) if prev != cpu) {
@@ -939,54 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn heuristic_with_large_k_matches_exact() {
-        let run = |mut sched: Sfs| -> Vec<Option<TaskId>> {
-            let mut picks = Vec::new();
-            let mut now = Time::ZERO;
-            for i in 0..12u64 {
-                sched.attach(TaskId(i), Weight::new(1 + i % 4).unwrap(), now);
-            }
-            for _ in 0..400 {
-                let t = sched.pick_next(CpuId(0), now);
-                picks.push(t);
-                if let Some(id) = t {
-                    now += Duration::from_millis(1);
-                    sched.put_prev(id, Duration::from_millis(1), SwitchReason::Preempted, now);
-                }
-            }
-            picks
-        };
-        let exact = run(Sfs::new(1));
-        let heur = run(Sfs::with_config(
-            1,
-            SfsConfig {
-                heuristic: Some(64),
-                ..SfsConfig::default()
-            },
-        ));
-        assert_eq!(exact, heur);
-    }
-
-    #[test]
-    fn heuristic_audit_records_hits() {
-        let cfg = SfsConfig {
-            heuristic: Some(20),
-            audit_heuristic: true,
-            quantum: Duration::from_millis(1),
-            ..SfsConfig::default()
-        };
-        let mut sim = MiniSim::new(Sfs::with_config(2, cfg));
-        for i in 0..40 {
-            sim.spawn(i, 1 + i % 5);
-        }
-        sim.run_quanta(500);
-        let st = sim.sched.stats();
-        assert!(st.heuristic_audits > 0);
-        assert!(st.heuristic_hits > 0);
-        assert!(st.heuristic_hits <= st.heuristic_audits);
-    }
-
-    #[test]
     fn work_conserving_under_churn() {
         let mut sim = MiniSim::new(Sfs::new(2));
         sim.spawn(1, 1);
@@ -1016,12 +848,12 @@ mod tests {
             sim.spawn(i, 1 + i % 3);
         }
         sim.run_quanta(100);
-        let sched = &sim.sched;
+        let (sched, now) = (&sim.sched, sim.now);
         let min_alpha = (0..6u64)
-            .map(|i| sched.fresh_surplus(TaskId(i)))
+            .map(|i| sched.charged_surplus(TaskId(i), Duration::ZERO, now))
             .min()
             .unwrap();
-        assert_eq!(min_alpha, Fixed::ZERO);
+        assert_eq!(min_alpha, Some(Fixed::ZERO));
     }
 
     #[test]
@@ -1064,70 +896,6 @@ mod tests {
         };
         assert!(sched.wake_preempts(waiter, p3, Duration::from_millis(150), now));
         assert!(!sched.wake_preempts(waiter, p3, Duration::ZERO, now));
-    }
-
-    #[test]
-    fn affinity_pick_never_exceeds_margin() {
-        // Pin for the precomputed affinity cutoff: a task that last ran
-        // on the picking CPU must never be selected when its surplus
-        // exceeds the exact minimum by more than the configured margin.
-        let mk = || {
-            let mut s = Sfs::with_config(
-                2,
-                SfsConfig {
-                    quantum: Duration::from_millis(1),
-                    affinity_margin: Some(Duration::from_millis(1)),
-                    ..SfsConfig::default()
-                },
-            );
-            let now = Time::ZERO;
-            for i in 1..=3u64 {
-                s.attach(TaskId(i), Weight::new(1).unwrap(), now);
-            }
-            // T1 runs on cpu0 and burns a long quantum: its surplus is
-            // now 50 ms while T2/T3 sit at zero.
-            let first = s.pick_next(CpuId(0), now);
-            assert_eq!(first, Some(TaskId(1)));
-            s.put_prev(
-                TaskId(1),
-                Duration::from_millis(50),
-                SwitchReason::Preempted,
-                now,
-            );
-            s
-        };
-        let mut s = mk();
-        // T1 has affinity for cpu0 but is 50 ms over the margin: the
-        // pick must take the minimum-surplus task instead.
-        let picked = s.pick_next(CpuId(0), Time::ZERO).unwrap();
-        assert_ne!(picked, TaskId(1), "affinity overrode the margin");
-        let min = [TaskId(1), TaskId(2), TaskId(3)]
-            .iter()
-            .filter(|&&id| id != picked)
-            .map(|&id| s.fresh_surplus(id))
-            .fold(s.fresh_surplus(picked), Fixed::min);
-        let margin = duration_fx(Duration::from_millis(1));
-        assert!(s.fresh_surplus(picked) <= min + margin);
-        // Within the margin, affinity wins: same setup but T1 only ran
-        // a hair past its peers.
-        let mut s = mk();
-        // Give T2/T3 runs of 49.5 ms each — on cpu1, so only T1 keeps
-        // affinity for cpu0 — leaving T1 within 1 ms of them.
-        for id in [TaskId(2), TaskId(3)] {
-            let got = s.pick_next(CpuId(1), Time::ZERO);
-            assert_eq!(got, Some(id));
-            s.put_prev(
-                id,
-                Duration::from_micros(49_500),
-                SwitchReason::Preempted,
-                Time::ZERO,
-            );
-        }
-        assert_eq!(
-            s.pick_next(CpuId(0), Time::ZERO),
-            Some(TaskId(1)),
-            "affinity must win inside the margin"
-        );
     }
 
     #[test]
@@ -1320,79 +1088,5 @@ mod tests {
         assert_eq!(st.bucket_migrations, before + 1);
         assert_eq!(st.weight_classes, 2);
         sim.sched.check_invariants();
-    }
-}
-
-#[cfg(test)]
-mod affinity_tests {
-    use super::*;
-    use crate::sched::{Scheduler, SwitchReason};
-
-    /// Lockstep driver that records per-task CPU placements.
-    fn run_with_affinity(margin: Option<Duration>) -> (u64, Vec<Duration>) {
-        let cfg = SfsConfig {
-            quantum: Duration::from_millis(1),
-            affinity_margin: margin,
-            ..SfsConfig::default()
-        };
-        let mut sched = Sfs::with_config(2, cfg);
-        let now0 = Time::ZERO;
-        // Three equal tasks on two CPUs: the odd one out forces CPU
-        // rotation, so plain SFS migrates constantly.
-        for i in 0..3u64 {
-            sched.attach(TaskId(i), Weight::new(1).unwrap(), now0);
-        }
-        let mut now = now0;
-        let mut running: Vec<Option<TaskId>> = vec![None; 2];
-        for _ in 0..2000 {
-            for (c, slot) in running.iter_mut().enumerate() {
-                if slot.is_none() {
-                    *slot = sched.pick_next(CpuId(c as u32), now);
-                }
-            }
-            now += Duration::from_millis(1);
-            for slot in &mut running {
-                if let Some(id) = slot.take() {
-                    sched.put_prev(id, Duration::from_millis(1), SwitchReason::Preempted, now);
-                }
-            }
-        }
-        let services: Vec<Duration> = (0..3u64)
-            .map(|i| sched.tags_of(TaskId(i)).unwrap().service)
-            .collect();
-        (sched.stats().migrations, services)
-    }
-
-    #[test]
-    fn affinity_reduces_migrations_without_breaking_fairness() {
-        let (mig_off, svc_off) = run_with_affinity(None);
-        let (mig_on, svc_on) = run_with_affinity(Some(Duration::from_millis(4)));
-        assert!(mig_off > 100, "baseline should migrate: {mig_off}");
-        assert!(
-            mig_on * 2 < mig_off,
-            "affinity did not help: {mig_on} vs {mig_off} migrations"
-        );
-        // Equal weights: every task still gets ~1/3 of 2 CPUs.
-        for svc in [&svc_off, &svc_on] {
-            let min = svc.iter().min().unwrap().as_nanos() as f64;
-            let max = svc.iter().max().unwrap().as_nanos() as f64;
-            assert!(max / min < 1.15, "fairness broken: {svc:?}");
-        }
-        let _ = svc_on;
-    }
-
-    #[test]
-    fn zero_margin_only_perturbs_by_tie_breaking() {
-        let (_mig_zero, svc_zero) = run_with_affinity(Some(Duration::ZERO));
-        let (_mig_off, svc_off) = run_with_affinity(None);
-        // A zero margin only re-breaks exact surplus ties by affinity;
-        // allocations may differ by a few quanta but no more.
-        for (a, b) in svc_zero.iter().zip(svc_off.iter()) {
-            let diff = if a > b { *a - *b } else { *b - *a };
-            assert!(
-                diff <= Duration::from_millis(4),
-                "tie-breaking drifted allocations: {svc_zero:?} vs {svc_off:?}"
-            );
-        }
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! 1. **Surplus-balanced placement** — arrivals go to the shard with
 //!    the least adjusted-weight sum per CPU; wakeups stay on the shard
-//!    where the task last ran (preserving the `last_cpu` affinity
-//!    extension inside that shard) unless its per-CPU load exceeds the
+//!    where the task last ran (so a wake alone never moves a task to
+//!    other processors) unless its per-CPU load exceeds the
 //!    least-loaded shard's by more than the waking task's own
 //!    contribution.
 //! 2. **Steal-on-idle** — a processor whose shard has no ready task
@@ -384,9 +384,9 @@ impl Balancer {
     }
 
     /// Re-admits a blocked task, choosing its shard: it stays on the
-    /// shard it last ran on (keeping `last_cpu` affinity meaningful)
-    /// unless that shard's per-CPU load exceeds the least-loaded
-    /// shard's by more than the waker's own per-CPU contribution.
+    /// shard it last ran on unless that shard's per-CPU load exceeds
+    /// the least-loaded shard's by more than the waker's own per-CPU
+    /// contribution.
     /// Returns `(home, target)`; the caller migrates the task between
     /// shard policies when they differ.
     pub fn wake(&mut self, id: TaskId) -> (usize, usize) {
@@ -661,7 +661,6 @@ impl ShardedScheduler {
         let bal = Balancer::new(&layout, cell);
         let name = match shards[0].name() {
             "SFS" => "SFS(sharded)",
-            "SFS(heuristic)" => "SFS(heuristic,sharded)",
             "SFS(hier)" => "SFS(hier,sharded)",
             "SFQ" => "SFQ(sharded)",
             "SFQ+readjust" => "SFQ+readjust(sharded)",

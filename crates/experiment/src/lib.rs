@@ -435,10 +435,16 @@ mod tests {
             trace: EventTrace::new(TraceMeta::default()),
         };
         let text = cap.to_json().to_string();
-        let edited = text.replace("quantum=10ms", "quantum=0ms");
-        assert_ne!(edited, text, "capture JSON carries the policy");
-        let err = Capture::from_json(&sfs_trace::Json::parse(&edited).unwrap()).unwrap_err();
-        assert!(err.contains("`quantum` must be positive"), "{err}");
+        // A removed option (the §3.2 heuristic) fails to load the same way.
+        for (policy, want) in [
+            ("quantum=0ms", "`quantum` must be positive"),
+            ("quantum=10ms,heuristic=4", "unknown option"),
+        ] {
+            let edited = text.replace("quantum=10ms", policy);
+            assert_ne!(edited, text, "capture JSON carries the policy");
+            let err = Capture::from_json(&sfs_trace::Json::parse(&edited).unwrap()).unwrap_err();
+            assert!(err.contains(want), "{policy}: {err}");
+        }
     }
 
     #[test]

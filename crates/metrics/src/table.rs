@@ -1,5 +1,5 @@
 //! Aligned text tables for experiment reports (Table 1 and the
-//! per-figure summaries in EXPERIMENTS.md).
+//! per-figure tables `repro` prints).
 
 use std::fmt::Write as _;
 

@@ -1,6 +1,5 @@
 //! Property-based stress tests: random workload churn must never break
-//! scheduler invariants, starve runnable tasks, or diverge between
-//! exact and heuristic SFS beyond tie-breaking noise.
+//! scheduler invariants or starve runnable tasks.
 
 use proptest::prelude::*;
 use sfs::prelude::*;
@@ -126,11 +125,6 @@ proptest! {
     #[test]
     fn sfs_survives_churn(ops in proptest::collection::vec(op_strategy(), 1..120)) {
         churn(PolicySpec::sfs().build(2), &ops);
-    }
-
-    #[test]
-    fn sfs_heuristic_survives_churn(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        churn(PolicySpec::sfs().with_heuristic(8).build(2), &ops);
     }
 
     #[test]

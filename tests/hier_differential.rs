@@ -133,13 +133,7 @@ fn build_hier_spec(entries: &[(usize, u64, u64, u64)], shards: Option<u32>) -> P
         .enumerate()
         .map(|(j, &(kind, share, q_us, knob))| {
             let sub = match kind % 4 {
-                0 => {
-                    let mut p = PolicySpec::sfs().with_quantum(Duration::from_micros(1 + q_us));
-                    if knob % 2 == 1 {
-                        p = p.with_heuristic(1 + (knob as usize % 50));
-                    }
-                    p
-                }
+                0 => PolicySpec::sfs().with_quantum(Duration::from_micros(1 + q_us)),
                 1 => {
                     let mut p = PolicySpec::sfq();
                     if knob % 2 == 1 {
@@ -211,7 +205,10 @@ fn hier_churn(ops: &[Op]) {
     let spec = PolicySpec::sfs_over([
         GroupSpec::new("a", PolicySpec::sfs()).with_share(3),
         GroupSpec::new("b", PolicySpec::sfq()).with_share(2),
-        GroupSpec::new("c", PolicySpec::sfs().with_heuristic(4)),
+        GroupSpec::new(
+            "c",
+            PolicySpec::sfs().with_quantum(Duration::from_millis(5)),
+        ),
     ]);
     let mut sched = spec.build(2);
     let tenants: Vec<TenantId> = ["a", "b", "c"]

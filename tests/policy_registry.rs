@@ -25,15 +25,6 @@ fn build_spec(kind_idx: usize, quantum_us: u64, knob: u64, bits: u64) -> PolicyS
             if bits & 1 != 0 {
                 spec = spec.with_quantum(quantum);
             }
-            if bits & 2 != 0 {
-                spec = spec.with_heuristic(1 + (knob as usize % 100));
-            }
-            if bits & 8 != 0 {
-                spec = spec.with_affinity_margin(quantum * 2);
-            }
-            if bits & 16 != 0 {
-                spec = spec.with_audit();
-            }
         }
         PolicyKind::Sfq | PolicyKind::Stride | PolicyKind::Bvt | PolicyKind::Wfq => {
             if bits & 1 != 0 {
