@@ -7,77 +7,41 @@
 //! the event-path cost this module eliminates.
 //!
 //! [`IndexedList`] keeps the same contract as those kernel lists — a
-//! totally ordered sequence with FIFO tie order, an arena-backed node
-//! per task, and an owner-held [`NodeRef`] handle — but layers a
-//! deterministic skip-list index over the bottom-level doubly-linked
-//! list. Costs:
-//!
-//! * `insert` / `update_key`: O(log n) expected search instead of the
-//!   O(position) sorted scan;
-//! * `remove`: O(1) expected (the node stores its own tower links, so
-//!   unlinking touches only its own height, expected constant);
-//! * `head` / `tail`: O(1) — the bottom level is still a plain
-//!   doubly-linked list.
-//!
-//! The index heights come from a fixed-seed xorshift64* stream per
-//! list, so runs are bit-for-bit reproducible: rebuilding a scheduler
-//! and replaying the same events yields the same structure, the same
-//! step counts, and the same iteration order.
+//! totally ordered sequence with FIFO tie order, an arena slot per
+//! task, and an owner-held [`NodeRef`] handle — but orders the slots in
+//! a std `BTreeSet` of `(sort key, stamp, slot)` entries, the ordered
+//! set the bucket queue and the weight-class map use too. `insert`,
+//! `update_key` and `remove` are O(log n) instead of the O(position)
+//! scan. The stamp is a per-list counter taken on every insert and
+//! re-key, so a node placed later sorts after every equal key already
+//! present, and replaying the same events yields the same order and the
+//! same step counts.
+
+use std::collections::BTreeSet;
 
 use crate::fixed::Fixed;
 use crate::task::TaskId;
 
-const NIL: u32 = u32::MAX;
-
 /// The O(log) cost estimate for one balanced-tree operation over `len`
 /// entries: the comparison depth, floor(log2 len) + 1. Shared by every
-/// event-path step counter (bucket queue, weight-class map, clamp-set
-/// probes, [`KeyCounter`]) so the CI-gated `steps_per_event` metric
-/// uses one cost model.
+/// event-path step counter ([`IndexedList`], bucket queue, weight-class
+/// map, clamp-set probes, [`KeyCounter`]) so the CI-gated
+/// `steps_per_event` metric uses one cost model.
 pub(crate) fn tree_steps(len: usize) -> u64 {
     (usize::BITS - len.leading_zeros()) as u64 + 1
 }
-
-/// Tallest tower a node can carry; enough index levels for ~10⁶ nodes
-/// at the 1/2 promotion rate before the top level saturates.
-const MAX_HEIGHT: usize = 24;
 
 /// A handle to a node in an [`IndexedList`], held by the task's owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeRef(u32);
 
+/// One arena slot: the key the owner sees, the stamp that places the
+/// node among equal keys, and its task.
 #[derive(Debug, Clone)]
 struct Node {
     key: Fixed,
+    stamp: u64,
     id: TaskId,
-    /// Interleaved tower links, one heap allocation per node:
-    /// `links[2l]` is the level-`l` successor, `links[2l + 1]` the
-    /// level-`l` predecessor; level 0 is the complete doubly-linked
-    /// list, upper levels are the index.
-    links: Vec<u32>,
-    linked: bool,
-}
-
-impl Node {
-    fn height(&self) -> usize {
-        self.links.len() / 2
-    }
-
-    fn next(&self, l: usize) -> u32 {
-        self.links[2 * l]
-    }
-
-    fn prev(&self, l: usize) -> u32 {
-        self.links[2 * l + 1]
-    }
-
-    fn set_next(&mut self, l: usize, v: u32) {
-        self.links[2 * l] = v;
-    }
-
-    fn set_prev(&mut self, l: usize, v: u32) {
-        self.links[2 * l + 1] = v;
-    }
 }
 
 /// Direction of the sort order.
@@ -89,26 +53,22 @@ pub enum Order {
     Descending,
 }
 
-/// An arena-backed skip list keyed by [`Fixed`].
+/// A B-tree-ordered arena of nodes keyed by [`Fixed`].
 ///
-/// Ties are FIFO: a newly inserted node goes after existing nodes with
-/// an equal key, matching the "ties are broken arbitrarily" licence in
-/// §2.3 while keeping behaviour deterministic — and identical to the
-/// sorted-scan list this structure replaced.
+/// Ties are FIFO: a newly inserted or re-keyed node goes after existing
+/// nodes with an equal key, matching the "ties are broken arbitrarily"
+/// licence in §2.3 while keeping behaviour deterministic — and
+/// identical to the sorted-scan list this structure replaced.
 #[derive(Debug, Clone)]
 pub struct IndexedList {
+    /// `(sort key, stamp, slot)` per linked node; the sort key is the
+    /// node's key, negated under [`Order::Descending`].
+    tree: BTreeSet<(Fixed, u64, u32)>,
     nodes: Vec<Node>,
     free: Vec<u32>,
-    /// Head pointer per level; `head[0]` is the list head.
-    head: [u32; MAX_HEIGHT],
-    /// Bottom-level tail.
-    tail: u32,
-    /// Number of index levels currently in use (≥ 1 when non-empty).
-    levels: usize,
-    len: usize,
     order: Order,
-    /// Deterministic tower-height stream (xorshift64*).
-    rng: u64,
+    /// The next stamp to hand out.
+    stamp: u64,
     steps: u64,
 }
 
@@ -116,189 +76,86 @@ impl IndexedList {
     /// Creates an empty list with the given order.
     pub fn new(order: Order) -> IndexedList {
         IndexedList {
+            tree: BTreeSet::new(),
             nodes: Vec::new(),
             free: Vec::new(),
-            head: [NIL; MAX_HEIGHT],
-            tail: NIL,
-            levels: 1,
-            len: 0,
             order,
-            rng: 0x9e37_79b9_7f4a_7c15,
+            stamp: 0,
             steps: 0,
         }
     }
 
     /// Number of linked nodes.
     pub fn len(&self) -> usize {
-        self.len
+        self.tree.len()
     }
 
     /// True if no nodes are linked.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.tree.is_empty()
     }
 
-    /// Cumulative structure steps (search hops and link/unlink level
-    /// work) across all mutations; the event-path cost counter read by
-    /// the policies.
+    /// Cumulative structure steps: the comparison depth, floor(log2
+    /// len) + 1, of every B-tree link and unlink, the cost model of every
+    /// ordered structure in this crate. Read by the policies.
     pub fn steps(&self) -> u64 {
         self.steps
     }
 
-    /// `a` sorts strictly before `b` under this list's order.
-    fn before(&self, a: Fixed, b: Fixed) -> bool {
-        match self.order {
-            Order::Ascending => a < b,
-            Order::Descending => a > b,
-        }
+    /// The tree entry slot `idx` is linked under.
+    fn entry(&self, idx: u32) -> (Fixed, u64, u32) {
+        let n = &self.nodes[idx as usize];
+        let key = match self.order {
+            Order::Ascending => n.key,
+            Order::Descending => -n.key,
+        };
+        (key, n.stamp, idx)
     }
 
-    /// Next deterministic tower height: geometric with promotion
-    /// probability 1/2, capped at [`MAX_HEIGHT`].
-    fn random_height(&mut self) -> usize {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        let r = x.wrapping_mul(0x2545_f491_4f6c_dd1d);
-        (1 + r.trailing_ones() as usize).min(MAX_HEIGHT)
+    /// Stamps slot `idx` as the newest node and links it, after every
+    /// equal key already present (FIFO tie order).
+    fn link(&mut self, idx: u32) {
+        self.steps += tree_steps(self.tree.len());
+        self.nodes[idx as usize].stamp = self.stamp;
+        self.stamp += 1;
+        self.tree.insert(self.entry(idx));
     }
 
-    /// The successor of `at` on level `l`; `NIL` stands for the head
-    /// sentinel.
-    fn next_of(&self, at: u32, l: usize) -> u32 {
-        if at == NIL {
-            self.head[l]
-        } else {
-            self.nodes[at as usize].next(l)
-        }
+    fn unlink(&mut self, idx: u32) {
+        self.steps += tree_steps(self.tree.len());
+        let linked = self.tree.remove(&self.entry(idx));
+        assert!(linked, "stale NodeRef: slot {idx} is not linked");
     }
 
-    fn alloc(&mut self, key: Fixed, id: TaskId) -> u32 {
-        let height = self.random_height();
-        if let Some(idx) = self.free.pop() {
-            let n = &mut self.nodes[idx as usize];
-            n.key = key;
-            n.id = id;
-            n.links.clear();
-            n.links.resize(2 * height, NIL);
-            n.linked = false;
+    /// Inserts `(key, id)` at its sorted position in O(log n). Returns a
+    /// handle for later removal or re-keying.
+    pub fn insert(&mut self, key: Fixed, id: TaskId) -> NodeRef {
+        let node = Node { key, stamp: 0, id };
+        let idx = if let Some(idx) = self.free.pop() {
+            self.nodes[idx as usize] = node;
             idx
         } else {
-            self.nodes.push(Node {
-                key,
-                id,
-                links: vec![NIL; 2 * height],
-                linked: false,
-            });
-            (self.nodes.len() - 1) as u32
-        }
-    }
-
-    /// Inserts `(key, id)` at its sorted position in O(log n) expected
-    /// hops. Returns a handle for later O(1) removal.
-    pub fn insert(&mut self, key: Fixed, id: TaskId) -> NodeRef {
-        let idx = self.alloc(key, id);
-        self.link_sorted(idx);
+            self.nodes.push(node);
+            self.nodes.len() as u32 - 1
+        };
+        self.link(idx);
         NodeRef(idx)
     }
 
-    /// Finds the insertion point for the node's key on every level and
-    /// splices the node in after all equal keys (FIFO tie order).
-    fn link_sorted(&mut self, idx: u32) {
-        let key = self.nodes[idx as usize].key;
-        let height = self.nodes[idx as usize].height();
-        debug_assert!(!self.nodes[idx as usize].linked);
-        if height > self.levels {
-            self.levels = height;
-        }
-        // Walk down from the top level, advancing while the next node
-        // sorts at-or-before `key` (past equals: FIFO).
-        let mut update = [NIL; MAX_HEIGHT];
-        let mut at = NIL;
-        for l in (0..self.levels).rev() {
-            self.steps += 1;
-            loop {
-                let nxt = self.next_of(at, l);
-                if nxt == NIL || self.before(key, self.nodes[nxt as usize].key) {
-                    break;
-                }
-                at = nxt;
-                self.steps += 1;
-            }
-            update[l] = at;
-        }
-        for (l, &after) in update.iter().enumerate().take(height) {
-            let next = self.next_of(after, l);
-            {
-                let n = &mut self.nodes[idx as usize];
-                n.set_prev(l, after);
-                n.set_next(l, next);
-            }
-            if after == NIL {
-                self.head[l] = idx;
-            } else {
-                self.nodes[after as usize].set_next(l, idx);
-            }
-            if next != NIL {
-                self.nodes[next as usize].set_prev(l, idx);
-            } else if l == 0 {
-                self.tail = idx;
-            }
-        }
-        self.nodes[idx as usize].linked = true;
-        self.len += 1;
-    }
-
-    fn unlink_idx(&mut self, idx: u32) {
-        debug_assert!(self.nodes[idx as usize].linked);
-        let height = self.nodes[idx as usize].height();
-        for l in 0..height {
-            self.steps += 1;
-            let (prev, next) = {
-                let n = &self.nodes[idx as usize];
-                (n.prev(l), n.next(l))
-            };
-            if prev == NIL {
-                self.head[l] = next;
-            } else {
-                self.nodes[prev as usize].set_next(l, next);
-            }
-            if next == NIL {
-                if l == 0 {
-                    self.tail = prev;
-                }
-            } else {
-                self.nodes[next as usize].set_prev(l, prev);
-            }
-            let n = &mut self.nodes[idx as usize];
-            n.set_prev(l, NIL);
-            n.set_next(l, NIL);
-        }
-        self.nodes[idx as usize].linked = false;
-        self.len -= 1;
-        while self.levels > 1 && self.head[self.levels - 1] == NIL {
-            self.levels -= 1;
-        }
-    }
-
-    /// Removes the node and frees its slot. The handle must not be
-    /// reused. O(1) expected: only the node's own tower is touched.
+    /// Removes the node and frees its slot in O(log n). The handle must
+    /// not be reused.
     pub fn remove(&mut self, r: NodeRef) {
-        self.unlink_idx(r.0);
+        self.unlink(r.0);
         self.free.push(r.0);
     }
 
     /// Changes a node's key and moves it to its new sorted position in
-    /// O(log n) expected hops (the sorted-scan list paid O(displacement)
-    /// here, which degenerated to O(n) for wakeups landing near the
-    /// virtual time).
+    /// O(log n) (the sorted-scan list paid O(displacement) here, which
+    /// degenerated to O(n) for wakeups landing near the virtual time).
     pub fn update_key(&mut self, r: NodeRef, key: Fixed) {
-        let idx = r.0;
-        self.unlink_idx(idx);
-        self.nodes[idx as usize].key = key;
-        self.link_sorted(idx);
+        self.unlink(r.0);
+        self.nodes[r.0 as usize].key = key;
+        self.link(r.0);
     }
 
     /// Returns the key currently stored for the node.
@@ -306,78 +163,45 @@ impl IndexedList {
         self.nodes[r.0 as usize].key
     }
 
-    /// The task at the head of the list, if any. O(1).
-    pub fn head(&self) -> Option<(Fixed, TaskId)> {
-        if self.head[0] == NIL {
-            None
-        } else {
-            let n = &self.nodes[self.head[0] as usize];
-            Some((n.key, n.id))
-        }
+    /// The `(key, id)` of the node a tree entry names.
+    fn node(&self, &(_, _, idx): &(Fixed, u64, u32)) -> (Fixed, TaskId) {
+        let n = &self.nodes[idx as usize];
+        (n.key, n.id)
     }
 
-    /// The task at the tail of the list, if any. O(1).
+    /// The task at the head of the list, if any.
+    pub fn head(&self) -> Option<(Fixed, TaskId)> {
+        self.tree.first().map(|e| self.node(e))
+    }
+
+    /// The task at the tail of the list, if any.
     pub fn tail(&self) -> Option<(Fixed, TaskId)> {
-        if self.tail == NIL {
-            None
-        } else {
-            let n = &self.nodes[self.tail as usize];
-            Some((n.key, n.id))
-        }
+        self.tree.last().map(|e| self.node(e))
     }
 
     /// Iterates `(key, id)` pairs in list order.
-    pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            list: self,
-            at: self.head[0],
-        }
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (Fixed, TaskId)> + '_ {
+        self.tree.iter().map(|e| self.node(e))
     }
 
     /// Iterates `(key, id)` pairs from the tail backwards.
-    pub fn iter_rev(&self) -> IterRev<'_> {
-        IterRev {
-            list: self,
-            at: self.tail,
-        }
+    pub fn iter_rev(&self) -> impl Iterator<Item = (Fixed, TaskId)> + '_ {
+        self.iter().rev()
     }
 
-    /// Debug invariant check: every level is sorted and consistent with
-    /// the level below, pointers line up, and `len` matches.
+    /// Debug invariant check: every tree entry is its slot's current
+    /// `(sort key, stamp, slot)`, stamps come from the counter, and
+    /// every slot is either linked or free, never both.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
-        let mut count = 0;
-        for l in 0..MAX_HEIGHT {
-            let mut at = self.head[l];
-            let mut prev_key: Option<Fixed> = None;
-            let mut prev_idx = NIL;
-            while at != NIL {
-                let n = &self.nodes[at as usize];
-                assert!(n.linked, "unlinked node reachable at level {l}");
-                assert!(n.height() > l, "node too short for level {l}");
-                assert_eq!(n.prev(l), prev_idx, "prev pointer corrupt at level {l}");
-                if let Some(pk) = prev_key {
-                    assert!(
-                        !self.before(n.key, pk),
-                        "level {l} out of order: {pk:?} then {:?}",
-                        n.key
-                    );
-                }
-                prev_key = Some(n.key);
-                prev_idx = at;
-                at = n.next(l);
-                if l == 0 {
-                    count += 1;
-                }
-            }
-            if l == 0 {
-                assert_eq!(self.tail, prev_idx, "tail pointer corrupt");
-            }
-            if l >= self.levels {
-                assert_eq!(self.head[l], NIL, "level above `levels` in use");
-            }
+        for e in &self.tree {
+            assert_eq!(*e, self.entry(e.2), "tree entry stale for slot {}", e.2);
+            assert!(e.1 < self.stamp, "stamp {} not yet handed out", e.1);
         }
-        assert_eq!(count, self.len, "len mismatch");
+        let linked = |&idx: &u32| self.tree.contains(&self.entry(idx));
+        assert!(!self.free.iter().any(linked), "a free slot is linked");
+        let slots = self.tree.len() + self.free.len();
+        assert_eq!(slots, self.nodes.len(), "slot leaked or freed twice");
     }
 }
 
@@ -454,42 +278,6 @@ impl KeyCounter {
     }
 }
 
-/// Forward iterator over an [`IndexedList`].
-pub struct Iter<'a> {
-    list: &'a IndexedList,
-    at: u32,
-}
-
-impl Iterator for Iter<'_> {
-    type Item = (Fixed, TaskId);
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.at == NIL {
-            return None;
-        }
-        let n = &self.list.nodes[self.at as usize];
-        self.at = n.next(0);
-        Some((n.key, n.id))
-    }
-}
-
-/// Reverse iterator over an [`IndexedList`].
-pub struct IterRev<'a> {
-    list: &'a IndexedList,
-    at: u32,
-}
-
-impl Iterator for IterRev<'_> {
-    type Item = (Fixed, TaskId);
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.at == NIL {
-            return None;
-        }
-        let n = &self.list.nodes[self.at as usize];
-        self.at = n.prev(0);
-        Some((n.key, n.id))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_unlinks_in_o1() {
+    fn remove_unlinks_from_any_position() {
         let mut l = IndexedList::new(Order::Ascending);
         let a = l.insert(Fixed::from_int(1), TaskId(1));
         let b = l.insert(Fixed::from_int(2), TaskId(2));
@@ -585,7 +373,7 @@ mod tests {
     #[test]
     fn search_cost_is_logarithmic_not_linear() {
         // 4096 keys inserted in ascending order, then mid-range
-        // insertions: each must cost far fewer hops than the ~n/2 a
+        // insertions: each must cost far fewer steps than the ~n/2 a
         // sorted scan from either end would pay.
         let mut l = IndexedList::new(Order::Ascending);
         for i in 0..4096 {
@@ -601,7 +389,7 @@ mod tests {
         let per_insert = (l.steps() - before) as f64 / 64.0;
         assert!(
             per_insert < 200.0,
-            "mid-list insert cost {per_insert:.1} hops — not logarithmic"
+            "mid-list insert cost {per_insert:.1} steps — not logarithmic"
         );
         l.check_invariants();
     }

@@ -1,6 +1,6 @@
 //! Differential test for the indexed run-queue rewrite.
 //!
-//! The arena-backed skip list replaced the §3.1 sorted-scan linked
+//! The B-tree-indexed slot arena replaced the §3.1 sorted-scan linked
 //! list under every tag-ordered run queue (SFQ start tags, WFQ finish
 //! tags, stride passes, BVT effective virtual times) and is a pure
 //! data-structure change: the *sequence* a queue presents must be
@@ -11,7 +11,7 @@
 //! construction: a plain `Vec` kept sorted by linear scan, inserting
 //! every new or re-keyed entry *after* all entries with an equal key.
 //! Random churn (inserts, removals, key updates — with heavy key
-//! duplication so tie runs are long) must keep the skip list and the
+//! duplication so tie runs are long) must keep the indexed list and the
 //! scan-sorted vector identical entry for entry, forwards and
 //! backwards, in both sort orders.
 

@@ -301,12 +301,12 @@ fn sfq_digest() {
     pin(
         digest(|| sfq(false), &no_warp),
         0xb37f_9152_7b0c_714e,
-        79_771,
+        89_378,
     );
     pin(
         digest(|| sfq(true), &no_warp),
         0x9c97_7f0b_4055_ba62,
-        107_510,
+        117_229,
     );
 }
 
@@ -315,12 +315,12 @@ fn wfq_digest() {
     pin(
         digest(|| wfq(false), &no_warp),
         0x1a1e_bc27_94f0_c724,
-        117_235,
+        128_430,
     );
     pin(
         digest(|| wfq(true), &no_warp),
         0xda0b_4121_309b_483c,
-        147_305,
+        158_682,
     );
 }
 
@@ -329,12 +329,12 @@ fn stride_digest() {
     pin(
         digest(|| stride(false), &no_warp),
         0x7ab7_7a5d_50a2_802d,
-        80_201,
+        89_401,
     );
     pin(
         digest(|| stride(true), &no_warp),
         0xc68e_7346_5d45_cb99,
-        108_296,
+        117_766,
     );
 }
 
@@ -343,12 +343,12 @@ fn bvt_digest() {
     pin(
         digest(|| bvt(false), &warp_thirds),
         0xc80e_827d_c500_af26,
-        129_931,
+        138_484,
     );
     pin(
         digest(|| bvt(true), &warp_thirds),
         0xc9e1_9c03_347f_8f7b,
-        156_944,
+        165_972,
     );
 }
 
