@@ -23,17 +23,13 @@
 //!   conservation across two shards, and the watchdog-vs-timer
 //!   heartbeat. Each has a deliberately broken variant so the checker
 //!   itself is demonstrably non-vacuous.
-//! * [`lint`] — a token-level scanner over `crates/*/src` enforcing
-//!   repo-specific rules (no wall-clock in the simulator, no raw
-//!   mutexes in the rt crate, invariant-documented `expect`s on hot
-//!   paths, justified `Ordering::Relaxed`), driven by the `lint.allow`
-//!   file at the workspace root.
 //!
-//! The `repro verify` and `repro lint` artefacts drive the checker and
-//! the lint engine in CI; the lock-audit pass runs the full rt test
-//! suite with `--features lock-audit`.
+//! The `repro verify` artefact drives the checker in CI; the lock-audit
+//! pass runs the full rt test suite with `--features lock-audit`. The
+//! repo's source rules (no wall clock in the simulator, no raw mutex in
+//! the rt crate, no `HashMap` in core, rt or sim, ...) are clippy bans
+//! in the `clippy.toml` files.
 
 pub mod interleave;
-pub mod lint;
 pub mod lockorder;
 pub mod models;

@@ -1,10 +1,10 @@
 //! `repro` — regenerate the paper's tables and figures, and run the
-//! concurrency-correctness gates. `repro --help` prints the options
+//! concurrency-correctness gate. `repro --help` prints the options
 //! and the experiment ids (from `sfs_bench::EXPERIMENTS`).
 //!
 //! Each experiment prints its report to stdout and writes
-//! `<out>/<id>.txt` plus CSV data files. A failed gate (`lint`,
-//! `verify`) exits non-zero.
+//! `<out>/<id>.txt` plus CSV data files. A failed gate (`verify`)
+//! exits non-zero.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -57,7 +57,7 @@ pub struct ExpResult {
     pub csv: Vec<(String, String)>,
     /// Key findings, as (metric, value) pairs, printed after the text.
     pub summary: Vec<(String, String)>,
-    /// True when the experiment is a gate (lint, verify) and its check
+    /// True when the experiment is a gate (`verify`) and its check
     /// failed — the `repro` driver exits non-zero so CI goes red.
     pub failed: bool,
 }

@@ -1,4 +1,4 @@
-//! # sfs-bench — the paper's tables and figures, and the gates
+//! # sfs-bench — the paper's tables and figures, and the gate
 //!
 //! One module per paper artefact, each exposing `run(effort)` and
 //! returning a rendered [`common::ExpResult`]:
@@ -11,7 +11,7 @@
 //! | [`fig5`] | Figure 5(a,b) (short-jobs problem, SFQ vs SFS) |
 //! | [`fig6`] | Figure 6(a,b,c) (allocation, isolation, interactivity) |
 //! | [`overheads`] | Figure 7 and Table 1 (scheduling overheads) |
-//! | [`verify`] | Concurrency-correctness gates: `lint` (project lint engine over `crates/*/src`) and `verify` (bounded interleaving checker over the epoch/steal/watchdog models) — gates, not measurements: failures exit non-zero |
+//! | [`verify`] | Concurrency-correctness gate: the bounded interleaving checker over the epoch/steal/watchdog models — a gate, not a measurement: a failure exits non-zero |
 //!
 //! The `repro` binary drives them all and writes reports to `results/`.
 //! Performance is measured by the `benchmark/` package and guarded by
@@ -44,7 +44,6 @@ pub const EXPERIMENTS: &[Entry] = &[
     ("fig6c", fig6::run_6c),
     ("fig7", overheads::run_fig7),
     ("table1", overheads::run_table1),
-    ("lint", verify::run_lint),
     ("verify", verify::run_verify),
 ];
 
@@ -85,7 +84,7 @@ mod tests {
     #[test]
     fn selection_runs_each_experiment_once_in_order_of_first_mention() {
         let all: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
-        assert_eq!(all.len(), 11);
+        assert_eq!(all.len(), 10);
         assert_eq!(ids(&[]), all);
         assert_eq!(ids(&["all"]), all);
         // `dedup()` only dropped adjacent repeats: `fig3 all` ran fig3 twice.
@@ -93,7 +92,8 @@ mod tests {
         assert_eq!(fig3_first.len(), all.len());
         assert_eq!(fig3_first[..3], ["fig3", "fig1", "fig4"]);
         assert_eq!(ids(&["fig5", "fig1", "fig5"]), ["fig5", "fig1"]);
-        // A deleted sweep is an unknown id, not a silent no-op.
+        // A deleted sweep or gate is an unknown id, not a silent no-op.
         assert_eq!(select(&["churn".to_string()]).unwrap_err(), "churn");
+        assert_eq!(select(&["lint".to_string()]).unwrap_err(), "lint");
     }
 }

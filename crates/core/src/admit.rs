@@ -31,6 +31,7 @@
 //! `sfs:groups(a,b):admit(max=1000,rate=500/s)`; see
 //! [`crate::policy::PolicySpec`]. [`AdmissionPolicy`]'s own
 //! `Display`/`FromStr` round-trips the clause's argument list exactly.
+#![expect(clippy::disallowed_types, reason = "keyed by tenant, not task")]
 
 use core::fmt;
 use std::collections::HashMap;

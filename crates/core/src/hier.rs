@@ -522,6 +522,7 @@ impl Scheduler for HierSfs {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "a test oracle, off the event path")]
 mod tests {
     use super::*;
     use crate::policy::PolicySpec;

@@ -174,19 +174,9 @@ impl IndexedList {
         self.tree.first().map(|e| self.node(e))
     }
 
-    /// The task at the tail of the list, if any.
-    pub fn tail(&self) -> Option<(Fixed, TaskId)> {
-        self.tree.last().map(|e| self.node(e))
-    }
-
     /// Iterates `(key, id)` pairs in list order.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (Fixed, TaskId)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (Fixed, TaskId)> + '_ {
         self.tree.iter().map(|e| self.node(e))
-    }
-
-    /// Iterates `(key, id)` pairs from the tail backwards.
-    pub fn iter_rev(&self) -> impl Iterator<Item = (Fixed, TaskId)> + '_ {
-        self.iter().rev()
     }
 
     /// Debug invariant check: every tree entry is its slot's current
@@ -279,6 +269,7 @@ impl KeyCounter {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests build bare lists")]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -296,7 +287,6 @@ mod tests {
         l.insert(Fixed::from_int(2), TaskId(4)); // tie: after T2
         assert_eq!(ids(&l), vec![2, 4, 1, 3]);
         assert_eq!(l.head().unwrap().1, TaskId(2));
-        assert_eq!(l.tail().unwrap().1, TaskId(3));
         l.check_invariants();
     }
 
@@ -356,18 +346,6 @@ mod tests {
         l.update_key(a, Fixed::from_int(5));
         // Re-inserting an equal key lands after the existing run.
         assert_eq!(ids(&l), vec![2, 1]);
-    }
-
-    #[test]
-    fn iter_rev_matches_forward() {
-        let mut l = IndexedList::new(Order::Ascending);
-        for i in [3i64, 1, 4, 1, 5] {
-            l.insert(Fixed::from_int(i), TaskId(i as u64 * 10));
-        }
-        let fwd: Vec<_> = l.iter().collect();
-        let mut rev: Vec<_> = l.iter_rev().collect();
-        rev.reverse();
-        assert_eq!(fwd, rev);
     }
 
     #[test]

@@ -60,6 +60,7 @@
 //! steal candidates in the first place). A tenant moves between shards
 //! only as a whole group, which happens naturally when its last task
 //! exits and the next one re-anchors it.
+#![expect(clippy::disallowed_types, reason = "keyed by tenant, not task")]
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -170,6 +170,7 @@ impl<P: TagPolicy> TagQueue<P> {
     /// # Panics
     ///
     /// Panics if `cpus` is zero.
+    #[expect(clippy::disallowed_methods, reason = "the core owns the queue")]
     pub fn with_config(cpus: u32, cfg: TagConfig) -> TagQueue<P> {
         assert!(cpus > 0, "need at least one processor");
         TagQueue {

@@ -236,6 +236,7 @@ impl<V: fmt::Debug> fmt::Debug for TaskMap<V> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_types, reason = "the differential oracle is std")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -118,6 +118,7 @@ fn now_time(epoch: Instant) -> Time {
     Time(u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX))
 }
 
+#[expect(clippy::disallowed_methods, reason = "paces arrivals in real time")]
 fn sleep_until(epoch: Instant, t: Time) {
     let now = now_time(epoch);
     if t > now {
@@ -132,7 +133,7 @@ fn sleep_until(epoch: Instant, t: Time) {
 /// normally until that instant, then panics — the executor's reap path
 /// must recover. A spawn refused by the policy's admission control
 /// yields a zero-service [`TaskFate::Rejected`] outcome.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one task's whole setup")]
 fn run_rt_task(
     ex: &Executor,
     epoch: Instant,
@@ -377,6 +378,7 @@ impl Substrate for RtSubstrate {
             }
             // The experiment clock: let the scenario play out, then stop
             // every cooperative loop.
+            #[expect(clippy::disallowed_methods, reason = "the scenario window")]
             std::thread::sleep(duration.to_std());
             ex.stop();
         });

@@ -139,6 +139,7 @@ pub fn drive_recording_until(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests let real time pass")]
 mod tests {
     use super::*;
     use crate::executor::{Executor, RtConfig};

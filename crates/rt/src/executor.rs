@@ -33,6 +33,7 @@
 //! would, so the *relative* costs of SFS vs time sharing — and of one
 //! global lock vs per-shard locks — are preserved, even though the
 //! absolute numbers are userspace numbers.
+#![deny(clippy::unwrap_used)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -685,6 +686,7 @@ impl TaskCtx {
 
     /// Blocks (releases the virtual CPU) for the given duration — the
     /// userspace analogue of sleeping on I/O.
+    #[expect(clippy::disallowed_methods, reason = "models real blocking I/O")]
     pub fn block_for(&self, d: Duration) {
         self.inner.block_current(&self.task, || false);
         thread::sleep(d.to_std());
@@ -859,6 +861,7 @@ impl Executor {
     ///   snapshot under its lock; the preempt flags are raised after
     ///   release, so a task re-entering the scheduler never contends
     ///   with the timer holding its shard lock across the full scan.
+    #[expect(clippy::disallowed_methods, reason = "the timer's tick and jitter")]
     fn timer_loop(inner: &Inner) {
         let interval = inner.cfg.timer_interval.to_std();
         let rebalance_every = inner.rebalance_every.to_std();
@@ -1349,6 +1352,8 @@ impl Drop for Executor {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests let real time pass")]
+#[expect(clippy::disallowed_types, reason = "a plain log of the run order")]
 mod tests {
     use super::*;
     use sfs_core::policy::PolicySpec;

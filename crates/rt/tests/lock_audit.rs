@@ -85,6 +85,7 @@ fn observed_lock_graph_is_acyclic_across_executor_flows() {
     });
 
     // Let the timer thread run several watchdog scans and rebalances.
+    #[expect(clippy::disallowed_methods, reason = "lets the timer run")]
     std::thread::sleep(std::time::Duration::from_millis(120));
     ex.stop();
     ex.wait();

@@ -33,6 +33,7 @@
 //!   which keeps the scheduler-call order event-equivalent to per-item
 //!   application), and the batch pays one dispatch sweep instead of one
 //!   per event.
+#![deny(clippy::unwrap_used)]
 
 use sfs_core::admit::{AdmissionControl, AdmissionPolicy};
 use sfs_core::fault::{FaultKind, FaultPlan};

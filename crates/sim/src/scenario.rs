@@ -303,6 +303,7 @@ impl Scenario {
                 });
             }
         }
+        #[expect(clippy::disallowed_types, reason = "validation, not the run")]
         let mut names = std::collections::HashSet::new();
         for name in self
             .tasks

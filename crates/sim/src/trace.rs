@@ -17,6 +17,7 @@
 //! response vectors and reduces the report to a [`LeanSummary`] of
 //! aggregate totals — the memory floor for mega-scale (10⁶-task) runs,
 //! where a million `TimeSeries` would dominate the simulation itself.
+#![expect(clippy::disallowed_types, reason = "keyed by name, not task")]
 
 use std::collections::HashMap;
 

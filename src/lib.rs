@@ -28,8 +28,7 @@
 //!   indices, tables and ASCII charts.
 //! * [`analyze`] (`sfs-analyze`) — concurrency-correctness tooling:
 //!   ranked mutexes with an optional lock-order audit (`lock-audit`
-//!   feature), a bounded interleaving checker over executor models,
-//!   and the project lint engine behind `repro lint`.
+//!   feature) and a bounded interleaving checker over executor models.
 //!
 //! ## Quickstart
 //!

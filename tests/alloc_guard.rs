@@ -12,9 +12,7 @@
 //!   report cost are fixed, and nothing per event, per wake or per
 //!   batch allocates.
 
-// A `GlobalAlloc` implementation is `unsafe` by definition; this test
-// binary is the only place the workspace needs one.
-#![allow(unsafe_code)]
+#![expect(unsafe_code, reason = "a `GlobalAlloc` impl is unsafe by definition")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

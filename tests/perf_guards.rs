@@ -5,6 +5,7 @@
 //! themselves are `benchmark/`'s (`sim.engine.ns_per_event`,
 //! `decisions_per_s`, `trace.recorder.overhead_pct`); these tests keep
 //! only the pass/fail tolerances CI has always applied.
+#![expect(clippy::disallowed_methods, reason = "a wall-clock run window")]
 
 mod common;
 

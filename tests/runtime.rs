@@ -1,6 +1,7 @@
 //! Integration tests for the real-thread substrate: the same policies
 //! that drive the simulator must schedule actual OS threads with the
 //! same qualitative outcomes.
+#![expect(clippy::disallowed_methods, reason = "real threads run for real time")]
 
 use std::time::Instant;
 
