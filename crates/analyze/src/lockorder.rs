@@ -12,7 +12,7 @@
 //! | (1, 0) | `global` | placement, §2.1 readjustment, rebalance, task lifetime |
 //! | (2, i) | `shard i` | one shard's run queue: pick, requeue, dispatch |
 //! | (3, 0) | `snapshot` | the epoch-published §2.1 clamp set (`SnapshotCell`) |
-//! | (4, 0) | `granted` | one task's virtual-CPU grant flag |
+//! | (4, 0) | `granted` | one task's virtual-CPU grant flag: revoked under a shard lock, granted with no scheduler lock held |
 //!
 //! so the executor's documented order — global → shards in ascending
 //! index → leaf flags — is machine-checked, not just a comment.
@@ -96,7 +96,8 @@ pub mod rank {
     pub const SNAPSHOT: LockRank = LockRank::new("snapshot", 3, 0);
 
     /// A task's virtual-CPU grant flag: the leaf of the hierarchy,
-    /// signalled under shard locks, waited on with nothing held.
+    /// revoked under a shard lock, granted and waited on with no
+    /// scheduler lock held.
     pub const GRANTED: LockRank = LockRank::new("granted", 4, 0);
 }
 
@@ -112,7 +113,7 @@ mod audit {
     use std::collections::BTreeSet;
 
     thread_local! {
-        static HELD: RefCell<Vec<LockRank>> = const { RefCell::new(Vec::new()) };
+        pub(super) static HELD: RefCell<Vec<LockRank>> = const { RefCell::new(Vec::new()) };
     }
 
     // The audit's own bookkeeping lock is deliberately a raw std mutex:
@@ -173,6 +174,21 @@ mod audit {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clear();
+    }
+}
+
+/// Under `lock-audit`, panics if the calling thread holds any ranked
+/// lock (the rt executor wakes threads only with none held). Silent
+/// while the thread unwinds, where a second panic would abort.
+#[inline]
+#[track_caller]
+pub fn assert_no_lock_held() {
+    #[cfg(feature = "lock-audit")]
+    {
+        let held: Vec<String> =
+            audit::HELD.with_borrow(|h| h.iter().map(ToString::to_string).collect());
+        let ok = held.is_empty() || std::thread::panicking();
+        assert!(ok, "lock-audit: still holding {held:?}");
     }
 }
 
@@ -276,11 +292,6 @@ impl<T> OrderedMutex<T> {
         }
     }
 
-    /// This lock's rank.
-    pub fn rank(&self) -> LockRank {
-        self.rank
-    }
-
     /// Acquires the lock, blocking until available.
     ///
     /// # Panics
@@ -296,16 +307,6 @@ impl<T> OrderedMutex<T> {
             #[cfg(feature = "lock-audit")]
             rank: self.rank,
         }
-    }
-
-    /// Mutable access without locking (requires exclusive access).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
-    }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
     }
 }
 
@@ -357,8 +358,7 @@ impl<T> Drop for OrderedGuard<'_, T> {
 
 /// Acquires two distinct-rank locks in rank order, returning the
 /// guards in **argument** order — the deadlock-free two-lock
-/// acquisition behind cross-shard migration (`lock_two` in the rt
-/// executor).
+/// acquisition behind the rt executor's cross-shard migrations.
 ///
 /// # Panics
 ///

@@ -5,7 +5,8 @@
 #![cfg(feature = "lock-audit")]
 
 use sfs_analyze::lockorder::{
-    acquisition_edges, audit_enabled, check_acyclic, lock_pair, rank, reset_audit, OrderedMutex,
+    acquisition_edges, assert_no_lock_held, audit_enabled, check_acyclic, lock_pair, rank,
+    reset_audit, OrderedMutex,
 };
 
 #[test]
@@ -105,4 +106,17 @@ fn disjoint_acquisitions_record_no_edges() {
             && !edges.contains(&(rank::shard(10), rank::shard(11))),
         "sequential (non-nested) locks must not record edges: {edges:?}"
     );
+}
+
+#[test]
+fn no_lock_held_assertion_names_the_held_lock() {
+    assert_no_lock_held();
+    let shard = OrderedMutex::new(rank::shard(5), ());
+    let held = shard.lock();
+    let err = std::panic::catch_unwind(|| assert_no_lock_held())
+        .expect_err("asserting with a shard lock held must panic");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("shard"), "panic names the held lock: {msg}");
+    drop(held);
+    assert_no_lock_held();
 }

@@ -9,7 +9,7 @@
 //! [`IndexedList`] keeps the same contract as those kernel lists — a
 //! totally ordered sequence with FIFO tie order, an arena slot per
 //! task, and an owner-held [`NodeRef`] handle — but orders the slots in
-//! a std `BTreeSet` of `(sort key, stamp, slot)` entries, the ordered
+//! a std `BTreeSet` of `(key, stamp, slot)` entries, the ordered
 //! set the bucket queue and the weight-class map use too. `insert`,
 //! `update_key` and `remove` are O(log n) instead of the O(position)
 //! scan. The stamp is a per-list counter taken on every insert and
@@ -44,13 +44,12 @@ struct Node {
     id: TaskId,
 }
 
-/// Direction of the sort order.
+/// Direction of the sort order: smallest key at the head, the only
+/// order the tag queues use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Order {
     /// Smallest key at the head (start-tag and surplus queues).
     Ascending,
-    /// Largest key at the head (the weight queue).
-    Descending,
 }
 
 /// A B-tree-ordered arena of nodes keyed by [`Fixed`].
@@ -61,25 +60,22 @@ pub enum Order {
 /// identical to the sorted-scan list this structure replaced.
 #[derive(Debug, Clone)]
 pub struct IndexedList {
-    /// `(sort key, stamp, slot)` per linked node; the sort key is the
-    /// node's key, negated under [`Order::Descending`].
+    /// `(key, stamp, slot)` per linked node.
     tree: BTreeSet<(Fixed, u64, u32)>,
     nodes: Vec<Node>,
     free: Vec<u32>,
-    order: Order,
     /// The next stamp to hand out.
     stamp: u64,
     steps: u64,
 }
 
 impl IndexedList {
-    /// Creates an empty list with the given order.
-    pub fn new(order: Order) -> IndexedList {
+    /// Creates an empty list (ascending, [`Order`]'s one variant).
+    pub fn new(_: Order) -> IndexedList {
         IndexedList {
             tree: BTreeSet::new(),
             nodes: Vec::new(),
             free: Vec::new(),
-            order,
             stamp: 0,
             steps: 0,
         }
@@ -105,11 +101,7 @@ impl IndexedList {
     /// The tree entry slot `idx` is linked under.
     fn entry(&self, idx: u32) -> (Fixed, u64, u32) {
         let n = &self.nodes[idx as usize];
-        let key = match self.order {
-            Order::Ascending => n.key,
-            Order::Descending => -n.key,
-        };
-        (key, n.stamp, idx)
+        (n.key, n.stamp, idx)
     }
 
     /// Stamps slot `idx` as the newest node and links it, after every
@@ -180,7 +172,7 @@ impl IndexedList {
     }
 
     /// Debug invariant check: every tree entry is its slot's current
-    /// `(sort key, stamp, slot)`, stamps come from the counter, and
+    /// `(key, stamp, slot)`, stamps come from the counter, and
     /// every slot is either linked or free, never both.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
@@ -287,16 +279,6 @@ mod tests {
         l.insert(Fixed::from_int(2), TaskId(4)); // tie: after T2
         assert_eq!(ids(&l), vec![2, 4, 1, 3]);
         assert_eq!(l.head().unwrap().1, TaskId(2));
-        l.check_invariants();
-    }
-
-    #[test]
-    fn descending_insert_orders_by_key() {
-        let mut l = IndexedList::new(Order::Descending);
-        l.insert(Fixed::from_int(1), TaskId(1));
-        l.insert(Fixed::from_int(10), TaskId(2));
-        l.insert(Fixed::from_int(5), TaskId(3));
-        assert_eq!(ids(&l), vec![2, 3, 1]);
         l.check_invariants();
     }
 

@@ -89,18 +89,12 @@ fn drive_loop(
             Phase::Block(d) => {
                 // Clip sleeps to the deadline so a killed task does not
                 // linger asleep past its kill time.
-                let d = match deadline {
-                    Some(kill) => d.min(kill.since(now)),
-                    None => d,
-                };
+                let d = deadline.map_or(d, |kill| d.min(kill.since(now)));
                 ctx.block_for(d);
                 last_wake = now_fn(epoch);
             }
             Phase::BlockUntil(t) => {
-                let t = match deadline {
-                    Some(kill) => t.min(kill),
-                    None => t,
-                };
+                let t = deadline.map_or(t, |kill| t.min(kill));
                 if t > now {
                     ctx.block_for(t.since(now));
                 }
@@ -126,16 +120,16 @@ pub fn drive_recording_until(
     epoch: Instant,
     deadline: Option<Time>,
 ) -> DriveRecord {
-    let mut rec = DriveRecord::default();
     let mut responses_ms = Vec::new();
     let (completions, end) = drive_loop(ctx, behavior, epoch, deadline, |response| {
         responses_ms.push(response.as_millis_f64());
     });
-    rec.completions = completions;
-    rec.responses_ms = responses_ms;
-    rec.finished = end == DriveEnd::Finished;
-    rec.deadline_hit = end == DriveEnd::DeadlineHit;
-    rec
+    DriveRecord {
+        completions,
+        responses_ms,
+        finished: end == DriveEnd::Finished,
+        deadline_hit: end == DriveEnd::DeadlineHit,
+    }
 }
 
 #[cfg(test)]

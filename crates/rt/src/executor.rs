@@ -26,6 +26,13 @@
 //! still-runnable path (checkpoint preemption, yield) takes only its
 //! own shard lock.
 //!
+//! A dispatch decides and records its grants under the shard lock but
+//! wakes no thread there: the granted tasks queue in a `Wakeups` that
+//! delivers them once the caller has released every scheduler lock (the
+//! Linux scheduler's deferred `wake_q`). On one core, a thread woken
+//! under a lock preempts its waker and then convoys on the lock the
+//! waker still holds; woken after the unlock, it finds every lock free.
+//!
 //! This substrate is what the overhead experiments (Table 1, Fig. 7),
 //! the shard guard in `tests/perf_guards.rs` and the `benchmark/`
 //! `rt_ring` workload measure: every scheduler entry takes the
@@ -35,13 +42,14 @@
 //! absolute numbers are userspace numbers.
 #![deny(clippy::unwrap_used)]
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
 use parking_lot::Condvar;
-use sfs_analyze::lockorder::{lock_pair, rank, OrderedGuard, OrderedMutex};
+use sfs_analyze::lockorder::{assert_no_lock_held, lock_pair, rank, OrderedGuard, OrderedMutex};
 use sfs_core::admit::{AdmissionControl, AdmissionPolicy, RejectReason};
 use sfs_core::policy::PolicySpec;
 use sfs_core::sched::{select_preemption_victim, SchedStats, Scheduler, SwitchReason};
@@ -99,16 +107,17 @@ struct RtTask {
     service_ns: AtomicU64,
     /// "You hold a virtual CPU" flag, guarded by its own mutex so a
     /// parked thread can wait on it without any scheduler lock. Rank
-    /// `granted` sits below every scheduler lock: grant/revoke happen
-    /// while a shard (and possibly the global) lock is held.
+    /// `granted` sits below every scheduler lock: it is revoked under a
+    /// shard lock, and granted (by [`Wakeups`]) with no scheduler lock.
     granted: OrderedMutex<bool>,
     cv: Condvar,
 }
 
 impl RtTask {
+    /// Signals once the flag's mutex is released, so the woken thread
+    /// never waits on it.
     fn grant(&self) {
-        let mut g = self.granted.lock();
-        *g = true;
+        *self.granted.lock() = true;
         self.cv.notify_one();
     }
 
@@ -121,6 +130,32 @@ impl RtTask {
 
     fn revoke(&self) {
         *self.granted.lock() = false;
+    }
+}
+
+thread_local! {
+    /// The calling thread's recycled [`Wakeups`] buffer.
+    static WAKE_BUF: Cell<Vec<Arc<RtTask>>> = const { Cell::new(Vec::new()) };
+}
+
+/// The grants [`Inner::dispatch`] queued, delivered on drop. Declared
+/// before a scope's first lock guard, it drops after the last one (on
+/// unwinding too, so a panic never strands a grant).
+struct Wakeups(Vec<Arc<RtTask>>);
+
+impl Wakeups {
+    fn new() -> Wakeups {
+        Wakeups(WAKE_BUF.take())
+    }
+}
+
+impl Drop for Wakeups {
+    fn drop(&mut self) {
+        for task in self.0.drain(..) {
+            task.grant();
+        }
+        WAKE_BUF.set(std::mem::take(&mut self.0));
+        assert_no_lock_held();
     }
 }
 
@@ -141,6 +176,8 @@ struct ShardCore {
     /// global lock, so wake/placement decisions are race-free.
     blocked: TaskMap<()>,
     switches: u64,
+    /// Scratch for [`Inner::flag_wake_preemption`], reused across wakes.
+    candidates: Vec<(usize, TaskId, Duration)>,
 }
 
 impl ShardCore {
@@ -228,20 +265,9 @@ impl Inner {
         }
     }
 
-    /// Locks two distinct shards in index order, returning the guards
-    /// in argument order — [`lock_pair`] enforces the rank discipline
-    /// (and audits it under `lock-audit`).
-    fn lock_two(
-        &self,
-        a: usize,
-        b: usize,
-    ) -> (OrderedGuard<'_, ShardCore>, OrderedGuard<'_, ShardCore>) {
-        assert_ne!(a, b, "locking one shard twice");
-        lock_pair(&self.shards[a], &self.shards[b])
-    }
-
-    /// Fills idle virtual CPUs of one shard. Caller holds its lock.
-    fn dispatch(&self, core: &mut ShardCore) {
+    /// Fills idle virtual CPUs of one shard, queueing each grant on
+    /// `wakes`. Caller holds its lock.
+    fn dispatch(&self, core: &mut ShardCore, wakes: &mut Wakeups) {
         let now = self.now();
         for i in 0..core.cpus.len() {
             if core.cpus[i].current.is_some() {
@@ -280,7 +306,7 @@ impl Inner {
             self.heartbeats[core.index].fetch_add(1, Ordering::Relaxed);
             let task = core.task(next).clone();
             task.preempt.store(false, Ordering::Release);
-            task.grant();
+            wakes.0.push(task);
         }
     }
 
@@ -325,22 +351,19 @@ impl Inner {
     /// task loses to the woken one, the one with the largest charged
     /// surplus (the old code flagged the first eligible CPU, evicting
     /// near-ties while far-worse tasks kept running).
-    fn flag_wake_preemption(&self, core: &ShardCore, woken: TaskId) {
+    fn flag_wake_preemption(&self, core: &mut ShardCore, woken: TaskId) {
         if core.slot_of(woken).is_some() {
             return;
         }
         let now = self.now();
-        let candidates: Vec<(usize, TaskId, Duration)> = core
-            .cpus
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
+        core.candidates.clear();
+        core.candidates
+            .extend(core.cpus.iter().enumerate().filter_map(|(i, slot)| {
                 slot.current
                     .map(|id| (i, id, Duration::from_std(slot.dispatched_at.elapsed())))
-            })
-            .collect();
+            }));
         if let Some((slot, victim)) =
-            select_preemption_victim(core.sched.as_ref(), woken, &candidates, now)
+            select_preemption_victim(core.sched.as_ref(), woken, &core.candidates, now)
         {
             if self.trace.on() {
                 self.trace.emit(TraceEvent::PreemptEvict {
@@ -385,7 +408,7 @@ impl Inner {
     /// conservation the sim substrate's `ShardedScheduler::pick_next`
     /// has, without waiting for the next periodic rebalance tick. The
     /// donor and the task are [`Balancer::plan_steal`]'s decision.
-    fn steal_on_idle(&self, global: &mut Global, s: usize) {
+    fn steal_on_idle(&self, global: &mut Global, s: usize, wakes: &mut Wakeups) {
         let Some(bal) = global.bal.as_mut() else {
             return;
         };
@@ -398,7 +421,7 @@ impl Inner {
             if filled {
                 return None; // the idle CPU was filled in the meantime
             }
-            let (f, t) = self.lock_two(o, s);
+            let (f, t) = lock_pair(&self.shards[o], &self.shards[s]);
             filled = t.cpus.iter().all(|c| c.current.is_some());
             // Never drain a shard below its own processor count.
             let spare = !filled && f.sched.nr_runnable() > f.cpus.len();
@@ -421,8 +444,8 @@ impl Inner {
                 kind: MigrateKind::Steal,
             });
         }
-        self.dispatch(&mut t);
-        self.flag_wake_preemption(&t, id);
+        self.dispatch(&mut t, wakes);
+        self.flag_wake_preemption(&mut t, id);
         self.steals.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
     }
 
@@ -432,6 +455,7 @@ impl Inner {
     /// the locks are held, calls it off. Returns whether the task
     /// blocked; if so the caller parks on `wait_granted` afterwards.
     fn block_current(&self, task: &Arc<RtTask>, cancel: impl FnOnce() -> bool) -> bool {
+        let mut wakes = Wakeups::new();
         let mut global = self.sharded().then(|| self.global.lock());
         let (s, mut core) = self.lock_own_shard(task);
         if cancel() {
@@ -441,12 +465,12 @@ impl Inner {
         if let Some(bal) = global.as_mut().and_then(|g| g.bal.as_mut()) {
             bal.block(task.id);
         }
-        self.dispatch(&mut core);
+        self.dispatch(&mut core, &mut wakes);
         let idle = core.cpus.iter().any(|c| c.current.is_none());
         drop(core);
         if idle {
             if let Some(g) = global.as_mut() {
-                self.steal_on_idle(g, s);
+                self.steal_on_idle(g, s, &mut wakes);
             }
         }
         true
@@ -457,6 +481,7 @@ impl Inner {
     /// if the task was not blocked.
     fn wake_blocked(&self, task: &Arc<RtTask>) -> bool {
         let now = self.now();
+        let mut wakes = Wakeups::new();
         let mut global = self.sharded().then(|| self.global.lock());
         // Blocked tasks never migrate, so the home index is stable
         // while we hold the global lock (all blocked-set transitions
@@ -490,22 +515,29 @@ impl Inner {
         if target == home {
             core.blocked.remove(&task.id);
             core.sched.wake(task.id, now);
-            self.dispatch(&mut core);
-            self.flag_wake_preemption(&core, task.id);
+            self.dispatch(&mut core, &mut wakes);
+            self.flag_wake_preemption(&mut core, task.id);
         } else {
             // Overloaded home shard: re-admit the waker on the target
             // shard instead (fresh tags there, like any migration).
             // `Balancer::wake` already accounted the placement.
             self.wake_migrations.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
             drop(core);
-            let (mut from, mut to) = self.lock_two(home, target);
+            let (mut from, mut to) = lock_pair(&self.shards[home], &self.shards[target]);
             from.blocked.remove(&task.id);
             self.move_task_locked(&mut from, target, &mut to, task.id);
             drop(from);
-            self.dispatch(&mut to);
-            self.flag_wake_preemption(&to, task.id);
+            self.dispatch(&mut to, &mut wakes);
+            self.flag_wake_preemption(&mut to, task.id);
         }
         true
+    }
+
+    /// Wakes a blocked task by id: one global-registry probe instead of
+    /// scanning every shard's lock. Returns `false` if it was not blocked.
+    fn wake_id(&self, id: TaskId) -> bool {
+        let task = self.global.lock().registry.get(&id).cloned();
+        task.is_some_and(|t| self.wake_blocked(&t))
     }
 
     /// One surplus-rebalance pass (timer thread, sharded only):
@@ -515,6 +547,7 @@ impl Inner {
     /// [`Balancer::plan_move`], shared with the sim substrate, so the
     /// rebalance invariant has exactly one implementation.
     fn rebalance(&self) {
+        let mut wakes = Wakeups::new();
         let mut global = self.global.lock();
         let Some(bal) = global.bal.as_mut() else {
             return;
@@ -523,7 +556,7 @@ impl Inner {
             let Some((from, to)) = bal.imbalanced_pair() else {
                 break;
             };
-            let (mut f, mut t) = self.lock_two(from, to);
+            let (mut f, mut t) = lock_pair(&self.shards[from], &self.shards[to]);
             // Loads cannot change while we hold the global lock, so
             // the planner re-derives the same pair; the donor's
             // runnable count and candidate are read under its lock.
@@ -546,7 +579,7 @@ impl Inner {
                     kind: MigrateKind::Rebalance,
                 });
             }
-            self.dispatch(&mut t);
+            self.dispatch(&mut t, &mut wakes);
             self.rebalances.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
         }
     }
@@ -572,10 +605,8 @@ impl TaskHandle {
     }
 
     /// Waits for the task's thread to finish.
-    pub fn join(mut self) {
-        if let Some(h) = self.thread.take() {
-            let _ = h.join();
-        }
+    pub fn join(self) {
+        self.join_service();
     }
 
     /// Waits for the task's thread to finish — including the scheduler
@@ -629,6 +660,7 @@ impl TaskCtx {
     /// contends with another shard's.
     fn reschedule(&self, reason: SwitchReason) {
         {
+            let mut wakes = Wakeups::new();
             let (_, mut core) = self.inner.lock_own_shard(&self.task);
             // The flag may be stale (e.g. raised just as we blocked and
             // got re-granted); only act when we actually hold a CPU.
@@ -637,7 +669,7 @@ impl TaskCtx {
                 return;
             }
             self.inner.stop_running(&mut core, self.task.id, reason);
-            self.inner.dispatch(&mut core);
+            self.inner.dispatch(&mut core, &mut wakes);
         }
         self.task.wait_granted();
     }
@@ -678,10 +710,7 @@ impl TaskCtx {
     /// blocked task). Returns `true` if the task was blocked. The
     /// producer must set its token *before* calling this.
     pub fn wake_task(&self, id: TaskId) -> bool {
-        let Some(task) = self.inner.find_task(id) else {
-            return false;
-        };
-        self.inner.wake_blocked(&task)
+        self.inner.wake_id(id)
     }
 
     /// Blocks (releases the virtual CPU) for the given duration — the
@@ -694,14 +723,6 @@ impl TaskCtx {
         // report the wakeup if we are still blocked.
         self.inner.wake_blocked(&self.task);
         self.task.wait_granted();
-    }
-}
-
-impl Inner {
-    /// Looks a task up by id (wake-by-id API): one global-registry
-    /// probe instead of scanning every shard's lock.
-    fn find_task(&self, id: TaskId) -> Option<Arc<RtTask>> {
-        self.global.lock().registry.get(&id).cloned()
     }
 }
 
@@ -804,6 +825,7 @@ impl Executor {
                         tasks: TaskMap::new(),
                         blocked: TaskMap::new(),
                         switches: 0,
+                        candidates: Vec::new(),
                     },
                 )
             })
@@ -975,17 +997,12 @@ impl Executor {
                             shard: si as u32,
                         });
                     }
-                    let flagged: Vec<Arc<RtTask>> = {
-                        let core = shard.lock();
-                        core.cpus
-                            .iter()
-                            .filter_map(|c| c.current)
-                            .map(|id| Arc::clone(core.task(id)))
-                            .collect()
-                    };
-                    for t in flagged {
-                        t.preempt.store(true, Ordering::Release);
+                    // A rare recovery path: raise the flags under the lock.
+                    let core = shard.lock();
+                    for id in core.cpus.iter().filter_map(|c| c.current) {
+                        core.task(id).preempt.store(true, Ordering::Release);
                     }
+                    drop(core);
                     if inner.sharded() {
                         inner.rebalance();
                     }
@@ -1086,11 +1103,12 @@ impl Executor {
         F: FnOnce(&TaskCtx) + Send + 'static,
     {
         let (task, ctx) = {
+            let mut wakes = Wakeups::new();
             let mut global = self.inner.global.lock();
             let id = TaskId(global.next_id);
             global.next_id += 1;
-            let mut admitted = false;
-            if global.admit.is_some() {
+            let admitted = global.admit.is_some();
+            if let Some(ctrl) = global.admit.as_mut() {
                 // Ready-but-waiting depth across every shard feeds the
                 // load-shed watermark (lock order: global, then shards
                 // ascending).
@@ -1101,21 +1119,17 @@ impl Executor {
                     .map(|s| s.lock().sched.nr_runnable())
                     .sum();
                 let now = self.inner.now();
-                let ctrl = global.admit.as_mut().expect("checked above"); // invariant: is_some() checked at the branch entry
-                match ctrl.admit(tenant, now, runnable as u64) {
-                    Ok(()) => admitted = true,
-                    Err(reason) => {
-                        if self.inner.trace.on() {
-                            self.inner
-                                .trace
-                                .register_task(id, name, weight.get(), tenant);
-                            self.inner.trace.emit(TraceEvent::TaskRejected {
-                                t: now.as_nanos(),
-                                task: id,
-                            });
-                        }
-                        return Err(reason);
+                if let Err(reason) = ctrl.admit(tenant, now, runnable as u64) {
+                    if self.inner.trace.on() {
+                        self.inner
+                            .trace
+                            .register_task(id, name, weight.get(), tenant);
+                        self.inner.trace.emit(TraceEvent::TaskRejected {
+                            t: now.as_nanos(),
+                            task: id,
+                        });
                     }
+                    return Err(reason);
                 }
             }
             global.live += 1;
@@ -1147,7 +1161,7 @@ impl Executor {
                     task: id,
                 });
             }
-            self.inner.dispatch(&mut core);
+            self.inner.dispatch(&mut core, &mut wakes);
             let ctx = TaskCtx {
                 inner: Arc::clone(&self.inner),
                 task: Arc::clone(&task),
@@ -1165,6 +1179,7 @@ impl Executor {
                 }));
                 let panicked = result.is_err();
                 {
+                    let mut wakes = Wakeups::new();
                     let mut global = inner.global.lock();
                     let (_, mut core) = inner.lock_own_shard(&task2);
                     core.blocked.remove(&task2.id);
@@ -1208,14 +1223,14 @@ impl Executor {
                     core.tasks.remove(&task2.id);
                     global.registry.remove(&task2.id);
                     global.live -= 1;
-                    inner.dispatch(&mut core);
+                    inner.dispatch(&mut core, &mut wakes);
                     let s = task2.shard.load(Ordering::Acquire);
                     let idle = core.cpus.iter().any(|c| c.current.is_none());
                     drop(core);
                     if idle {
                         // The exit may have freed a CPU: offer it a
                         // stolen task before it idles.
-                        inner.steal_on_idle(&mut global, s);
+                        inner.steal_on_idle(&mut global, s, &mut wakes);
                     }
                     inner.idle_cv.notify_all();
                 }
@@ -1241,6 +1256,7 @@ impl Executor {
         // CPU time to observe the stop flag, and release event-blocked
         // tasks so they can observe it too. Wakes stay on their home
         // shard — migration at shutdown is pointless churn.
+        let mut wakes = Wakeups::new();
         let mut global = self.inner.global.lock();
         let now = self.inner.now();
         for shard in &self.inner.shards {
@@ -1248,14 +1264,13 @@ impl Executor {
             for t in core.tasks.values() {
                 t.preempt.store(true, Ordering::Release);
             }
-            let blocked: Vec<TaskId> = std::mem::take(&mut core.blocked).keys().collect();
-            for id in blocked {
+            for id in std::mem::take(&mut core.blocked).keys() {
                 if let Some(bal) = global.bal.as_mut() {
                     bal.wake_in_place(id);
                 }
                 core.sched.wake(id, now);
             }
-            self.inner.dispatch(&mut core);
+            self.inner.dispatch(&mut core, &mut wakes);
         }
     }
 
@@ -1280,10 +1295,7 @@ impl Executor {
     /// spawning thread kicking off a token ring). Returns `true` if the
     /// task was blocked.
     pub fn wake_task(&self, id: TaskId) -> bool {
-        let Some(task) = self.inner.find_task(id) else {
-            return false;
-        };
-        self.inner.wake_blocked(&task)
+        self.inner.wake_id(id)
     }
 
     /// Number of run-queue shards.
@@ -1740,6 +1752,107 @@ mod tests {
         );
         a.join();
         b.join();
+    }
+
+    /// Runs `rings` token rings of `n` tasks each for `rounds` laps
+    /// (`block_on_token`/`wake_task` hand-offs) and returns every task's
+    /// hop count in spawn order. A lost grant stalls a ring, and the
+    /// bounded wait turns that into a failure instead of a hang.
+    fn run_rings(ex: &Executor, rings: usize, n: usize, rounds: u64) -> Vec<u64> {
+        let tokens: Arc<Vec<AtomicBool>> =
+            Arc::new((0..rings * n).map(|_| AtomicBool::new(false)).collect());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handles: Vec<TaskHandle> = (0..rings * n)
+            .map(|i| {
+                let (tokens, tx) = (Arc::clone(&tokens), tx.clone());
+                let next = i - i % n + (i + 1) % n;
+                ex.spawn(&format!("ring{i}"), weight(1 + i as u64 % 3), move |ctx| {
+                    let mut hops = 0u64;
+                    for _ in 0..rounds {
+                        ctx.block_on_token(&tokens[i]);
+                        hops += 1;
+                        tokens[next].store(true, Ordering::Release);
+                        // Ids are handed out 1, 2, … in spawn order.
+                        ctx.wake_task(TaskId(next as u64 + 1));
+                    }
+                    tx.send((i, hops)).expect("the test is waiting");
+                })
+            })
+            .collect();
+        drop(tx); // a ring whose tasks all died fails at once
+        for r in 0..rings {
+            tokens[r * n].store(true, Ordering::Release);
+            ex.wake_task(handles[r * n].id());
+        }
+        let mut hops = vec![0; rings * n];
+        for _ in 0..rings * n {
+            let (i, h) = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a ring stalled: a grant was lost");
+            hops[i] = h;
+        }
+        ex.wait();
+        for (i, h) in handles.into_iter().enumerate() {
+            assert_eq!(h.id(), TaskId(i as u64 + 1));
+            h.join();
+        }
+        hops
+    }
+
+    #[test]
+    fn token_ring_hands_off_on_one_vcpu() {
+        let ex = Executor::new(
+            RtConfig {
+                cpus: 1,
+                ..RtConfig::default()
+            },
+            small_sfs(1),
+        );
+        let hops = run_rings(&ex, 1, 8, 200);
+        assert_eq!(hops, vec![200; 8]);
+        // One CPU and no checkpoints: after the first lap every hop is
+        // a block, a pick and a grant to a different task.
+        assert!(ex.switches() >= 8 * 199, "switches = {}", ex.switches());
+    }
+
+    #[test]
+    fn token_rings_hand_off_across_two_shards() {
+        // Two rings of four on two single-CPU shards: up to two tasks
+        // are runnable at once, so wakes are placed by the balancer and
+        // a blocking shard may steal the other's ready task.
+        let spec: PolicySpec = "sfs:quantum=1ms,shards=2".parse().unwrap();
+        let ex = Executor::from_spec(
+            RtConfig {
+                cpus: 2,
+                timer_interval: Duration::from_micros(200),
+            },
+            &spec,
+        );
+        let hops = run_rings(&ex, 2, 4, 200);
+        assert_eq!(hops, vec![200; 8]);
+    }
+
+    #[test]
+    fn a_panic_in_the_locked_section_still_delivers_queued_grants() {
+        let task = Arc::new(RtTask {
+            id: TaskId(1),
+            tenant: None,
+            admitted: false,
+            shard: AtomicUsize::new(0),
+            preempt: AtomicBool::new(false),
+            service_ns: AtomicU64::new(0),
+            granted: OrderedMutex::new(rank::GRANTED, false),
+            cv: Condvar::new(),
+        });
+        let shard = OrderedMutex::new(rank::shard(0), ());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut wakes = Wakeups::new();
+            let _core = shard.lock();
+            wakes.0.push(Arc::clone(&task));
+            panic!("a policy fault between queueing and delivery");
+        }));
+        assert!(unwound.is_err());
+        assert!(*task.granted.lock(), "the queued grant was stranded");
     }
 
     #[test]

@@ -70,7 +70,8 @@ fn observed_lock_graph_is_acyclic_across_executor_flows() {
 
     // A token-blocked task plus its waker: block_on_token parks on the
     // task's leaf `granted` lock; wake_task re-places the sleeper
-    // through the global section.
+    // through the global section, and its grant is delivered (asserted
+    // under the audit) once every scheduler lock is released.
     let token = Arc::new(AtomicBool::new(false));
     let t = Arc::clone(&token);
     let blocked = ex.spawn("blocked", weight(1), move |ctx| {
@@ -108,7 +109,7 @@ fn observed_lock_graph_is_acyclic_across_executor_flows() {
     for expected in [
         (rank::GLOBAL, rank::shard(0)),   // placement / rebalance / wake
         (rank::shard(0), rank::shard(1)), // two-lock migration, ascending
-        (rank::shard(0), rank::GRANTED),  // grant/revoke under shard lock
+        (rank::shard(0), rank::GRANTED),  // revoke under shard lock
     ] {
         assert!(
             edges.contains(&expected),

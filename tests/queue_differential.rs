@@ -12,8 +12,7 @@
 //! every new or re-keyed entry *after* all entries with an equal key.
 //! Random churn (inserts, removals, key updates — with heavy key
 //! duplication so tie runs are long) must keep the indexed list and the
-//! scan-sorted vector identical entry for entry, forwards and
-//! backwards, in both sort orders.
+//! scan-sorted vector identical entry for entry.
 
 use proptest::prelude::*;
 use sfs_core::fixed::Fixed;
@@ -21,33 +20,19 @@ use sfs_core::queues::{IndexedList, NodeRef, Order};
 use sfs_core::task::TaskId;
 
 /// The naive reference: a scan-sorted vector with FIFO tie order.
+#[derive(Default)]
 struct RefList {
-    order: Order,
     entries: Vec<(Fixed, TaskId)>,
 }
 
 impl RefList {
-    fn new(order: Order) -> RefList {
-        RefList {
-            order,
-            entries: Vec::new(),
-        }
-    }
-
-    fn before(&self, a: Fixed, b: Fixed) -> bool {
-        match self.order {
-            Order::Ascending => a < b,
-            Order::Descending => a > b,
-        }
-    }
-
     /// Inserts after all entries sorting at-or-before `key` — the FIFO
     /// tie rule of the original sorted scan.
     fn insert(&mut self, key: Fixed, id: TaskId) {
         let at = self
             .entries
             .iter()
-            .position(|&(k, _)| self.before(key, k))
+            .position(|&(k, _)| key < k)
             .unwrap_or(self.entries.len());
         self.entries.insert(at, (key, id));
     }
@@ -86,9 +71,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn lockstep(order: Order, ops: &[Op]) {
-    let mut list = IndexedList::new(order);
-    let mut model = RefList::new(order);
+fn lockstep(ops: &[Op]) {
+    let mut list = IndexedList::new(Order::Ascending);
+    let mut model = RefList::default();
     let mut live: Vec<(TaskId, NodeRef)> = Vec::new();
     let mut next_id = 0u64;
 
@@ -134,15 +119,7 @@ proptest! {
     fn indexed_list_matches_scan_sorted_vec_ascending(
         ops in proptest::collection::vec(op_strategy(), 1..200),
     ) {
-        lockstep(Order::Ascending, &ops);
-    }
-
-    /// Descending order (the historical weight-queue direction).
-    #[test]
-    fn indexed_list_matches_scan_sorted_vec_descending(
-        ops in proptest::collection::vec(op_strategy(), 1..200),
-    ) {
-        lockstep(Order::Descending, &ops);
+        lockstep(&ops);
     }
 }
 
@@ -161,6 +138,5 @@ fn indexed_list_matches_reference_under_tie_soak() {
             _ => ops.push(Op::UpdateKey(round as usize, ((round / 5) % 3) as i64)),
         }
     }
-    lockstep(Order::Ascending, &ops);
-    lockstep(Order::Descending, &ops);
+    lockstep(&ops);
 }
