@@ -12,7 +12,7 @@
 //! | (1, 0) | `global` | placement, §2.1 readjustment, rebalance, task lifetime |
 //! | (2, i) | `shard i` | one shard's run queue: pick, requeue, dispatch |
 //! | (3, 0) | `snapshot` | the epoch-published §2.1 clamp set (`SnapshotCell`) |
-//! | (4, 0) | `granted` | one task's virtual-CPU grant flag: revoked under a shard lock, granted with no scheduler lock held |
+//! | (4, 0) | `granted` | one task's virtual-CPU grant flag: set and consumed with no scheduler lock held |
 //!
 //! so the executor's documented order — global → shards in ascending
 //! index → leaf flags — is machine-checked, not just a comment.
@@ -95,8 +95,8 @@ pub mod rank {
     /// read on shard pick paths, written under the global section.
     pub const SNAPSHOT: LockRank = LockRank::new("snapshot", 3, 0);
 
-    /// A task's virtual-CPU grant flag: the leaf of the hierarchy,
-    /// revoked under a shard lock, granted and waited on with no
+    /// A task's virtual-CPU grant flag: the leaf of the hierarchy, set
+    /// (by the waker) and waited on and consumed (by the task) with no
     /// scheduler lock held.
     pub const GRANTED: LockRank = LockRank::new("granted", 4, 0);
 }

@@ -33,6 +33,11 @@
 //! under a lock preempts its waker and then convoys on the lock the
 //! waker still holds; woken after the unlock, it finds every lock free.
 //!
+//! Each scheduler entry reads the clock once, under its shard lock, for
+//! every stop, pick and charge it makes, so one slice ends where the
+//! next begins. Task threads are pooled: an exiting task parks its OS
+//! thread for the next spawn, so thread-locals outlive their task.
+//!
 //! This substrate is what the overhead experiments (Table 1, Fig. 7),
 //! the shard guard in `tests/perf_guards.rs` and the `benchmark/`
 //! `rt_ring` workload measure: every scheduler entry takes the
@@ -44,7 +49,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
 
@@ -77,10 +82,10 @@ impl Default for RtConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct CpuSlot {
     current: Option<TaskId>,
-    dispatched_at: Instant,
+    dispatched_at: Time,
     slice: Duration,
     /// The task this CPU most recently ran — `switches` counts only
     /// grants to a *different* task, matching the sim's definition of a
@@ -107,8 +112,8 @@ struct RtTask {
     service_ns: AtomicU64,
     /// "You hold a virtual CPU" flag, guarded by its own mutex so a
     /// parked thread can wait on it without any scheduler lock. Rank
-    /// `granted` sits below every scheduler lock: it is revoked under a
-    /// shard lock, and granted (by [`Wakeups`]) with no scheduler lock.
+    /// `granted` sits below every scheduler lock and is taken with none
+    /// held: set by [`Wakeups`], consumed by `wait_granted`.
     granted: OrderedMutex<bool>,
     cv: Condvar,
 }
@@ -121,15 +126,33 @@ impl RtTask {
         self.cv.notify_one();
     }
 
+    /// Parks until a grant arrives, and consumes it.
     fn wait_granted(&self) {
         let mut g = self.granted.lock();
         while !*g {
             g.wait(&self.cv);
         }
+        *g = false;
     }
+}
 
-    fn revoke(&self) {
-        *self.granted.lock() = false;
+/// A task body and its exit bookkeeping, sent to a pooled thread.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// A task thread and the queue it takes its next job from.
+struct Worker {
+    jobs: mpsc::Sender<Job>,
+    thread: thread::JoinHandle<()>,
+}
+
+impl Worker {
+    fn spawn() -> Worker {
+        let (jobs, queue) = mpsc::channel::<Job>();
+        let thread = thread::Builder::new()
+            .name("sfs-rt-task".into())
+            .spawn(move || queue.into_iter().for_each(|job| job()))
+            .expect("spawning task thread"); // invariant: OS thread-spawn failure is fatal
+        Worker { jobs, thread }
     }
 }
 
@@ -198,9 +221,8 @@ impl ShardCore {
 struct Global {
     /// Placement + global feasibility; `None` for a single shard.
     bal: Option<Balancer>,
-    /// Machine-wide task registry, so wake-by-id resolves with one
-    /// global probe instead of scanning every shard's lock.
-    registry: TaskMap<Arc<RtTask>>,
+    /// Task threads parked by exited tasks, popped by the next spawn.
+    idle: Vec<Worker>,
     next_id: u64,
     live: usize,
     /// Admission control state (a spec's `admit(...)` clause), or
@@ -267,8 +289,7 @@ impl Inner {
 
     /// Fills idle virtual CPUs of one shard, queueing each grant on
     /// `wakes`. Caller holds its lock.
-    fn dispatch(&self, core: &mut ShardCore, wakes: &mut Wakeups) {
-        let now = self.now();
+    fn dispatch(&self, core: &mut ShardCore, wakes: &mut Wakeups, now: Time) {
         for i in 0..core.cpus.len() {
             if core.cpus[i].current.is_some() {
                 continue;
@@ -282,7 +303,7 @@ impl Inner {
                 core.switches += 1;
             }
             if self.trace.on() {
-                let t = self.now().as_nanos();
+                let t = now.as_nanos();
                 let cpu = core.cpu_base + i as u32;
                 if switching {
                     self.trace.emit(TraceEvent::CtxSwitch {
@@ -297,7 +318,7 @@ impl Inner {
             }
             core.cpus[i] = CpuSlot {
                 current: Some(next),
-                dispatched_at: Instant::now(),
+                dispatched_at: now,
                 slice,
                 last_task: Some(next),
             };
@@ -314,20 +335,20 @@ impl Inner {
     /// Caller holds the shard lock (and the global lock when the
     /// reason leaves the runnable set and a balancer exists — the
     /// caller also updates the balancer).
-    fn stop_running(&self, core: &mut ShardCore, id: TaskId, reason: SwitchReason) {
+    fn stop_running(&self, core: &mut ShardCore, id: TaskId, reason: SwitchReason, now: Time) {
         // invariant: every caller either found `id` on a CPU under
         // this same lock or holds the slot it granted it.
         let slot = core.slot_of(id).expect("task not on any cpu");
-        let used = Duration::from_std(core.cpus[slot].dispatched_at.elapsed());
+        let since = core.cpus[slot].dispatched_at;
+        debug_assert!(now >= since, "clock read before the shard lock");
+        let used = now.since(since);
         core.cpus[slot].current = None;
-        let task = core.task(id).clone();
-        task.service_ns
+        core.task(id)
+            .service_ns
             .fetch_add(used.as_nanos(), Ordering::Relaxed); // relaxed: stats accumulator; readers only need a recent total
-        task.revoke();
         if reason == SwitchReason::Blocked {
             core.blocked.insert(id, ());
         }
-        let now = self.now();
         core.sched.put_prev(id, used, reason, now);
         // relaxed: monotonic progress beacon; the watchdog only
         // compares successive reads of the same counter.
@@ -351,16 +372,15 @@ impl Inner {
     /// task loses to the woken one, the one with the largest charged
     /// surplus (the old code flagged the first eligible CPU, evicting
     /// near-ties while far-worse tasks kept running).
-    fn flag_wake_preemption(&self, core: &mut ShardCore, woken: TaskId) {
+    fn flag_wake_preemption(&self, core: &mut ShardCore, woken: TaskId, now: Time) {
         if core.slot_of(woken).is_some() {
             return;
         }
-        let now = self.now();
         core.candidates.clear();
         core.candidates
             .extend(core.cpus.iter().enumerate().filter_map(|(i, slot)| {
                 slot.current
-                    .map(|id| (i, id, Duration::from_std(slot.dispatched_at.elapsed())))
+                    .map(|id| (i, id, now.since(slot.dispatched_at)))
             }));
         if let Some((slot, victim)) =
             select_preemption_victim(core.sched.as_ref(), woken, &core.candidates, now)
@@ -388,8 +408,8 @@ impl Inner {
         to_idx: usize,
         to: &mut ShardCore,
         id: TaskId,
+        now: Time,
     ) {
-        let now = self.now();
         // invariant: migration candidates come from `from`'s own
         // policy under its lock; attach/detach and the task map move
         // together under both shard locks.
@@ -433,19 +453,20 @@ impl Inner {
             return;
         };
         bal.migrate(id, s);
-        self.move_task_locked(&mut f, s, &mut t, id);
+        let now = self.now();
+        self.move_task_locked(&mut f, s, &mut t, id, now);
         drop(f);
         if self.trace.on() {
             self.trace.emit(TraceEvent::Migrate {
-                t: self.now().as_nanos(),
+                t: now.as_nanos(),
                 task: id,
                 from_shard: o as u32,
                 to_shard: s as u32,
                 kind: MigrateKind::Steal,
             });
         }
-        self.dispatch(&mut t, wakes);
-        self.flag_wake_preemption(&mut t, id);
+        self.dispatch(&mut t, wakes, now);
+        self.flag_wake_preemption(&mut t, id, now);
         self.steals.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
     }
 
@@ -461,11 +482,12 @@ impl Inner {
         if cancel() {
             return false;
         }
-        self.stop_running(&mut core, task.id, SwitchReason::Blocked);
+        let now = self.now();
+        self.stop_running(&mut core, task.id, SwitchReason::Blocked, now);
         if let Some(bal) = global.as_mut().and_then(|g| g.bal.as_mut()) {
             bal.block(task.id);
         }
-        self.dispatch(&mut core, &mut wakes);
+        self.dispatch(&mut core, &mut wakes, now);
         let idle = core.cpus.iter().any(|c| c.current.is_none());
         drop(core);
         if idle {
@@ -479,33 +501,38 @@ impl Inner {
     /// Wakes a blocked task, letting the balancer place it (sticky to
     /// its home shard unless that shard is overloaded). Returns `false`
     /// if the task was not blocked.
-    fn wake_blocked(&self, task: &Arc<RtTask>) -> bool {
-        let now = self.now();
+    fn wake(&self, id: TaskId) -> bool {
         let mut wakes = Wakeups::new();
         let mut global = self.sharded().then(|| self.global.lock());
-        // Blocked tasks never migrate, so the home index is stable
-        // while we hold the global lock (all blocked-set transitions
-        // take it too); unsharded, there is one shard.
-        let home = task.shard.load(Ordering::Acquire);
+        // Blocked tasks never migrate, and every blocked-set transition
+        // holds the global lock, so the balancer's shard is the home
+        // one; unsharded, there is one shard.
+        let Some(home) = global
+            .as_ref()
+            .map_or(Some(0), |g| g.bal.as_ref()?.shard_of(id))
+        else {
+            return false;
+        };
         let mut core = self.shards[home].lock();
-        if !core.blocked.contains_key(&task.id) {
+        let now = self.now();
+        if !core.blocked.contains_key(&id) {
             return false;
         }
         let target = global.as_mut().map_or(home, |g| {
             // invariant: sharded executors are always constructed with
             // a balancer (from_parts).
             let bal = g.bal.as_mut().expect("sharded executor has balancer");
-            bal.wake(task.id).1
+            bal.wake(id).1
         });
         if self.trace.on() {
             self.trace.emit(TraceEvent::Wake {
                 t: now.as_nanos(),
-                task: task.id,
+                task: id,
             });
             if target != home {
                 self.trace.emit(TraceEvent::Migrate {
                     t: now.as_nanos(),
-                    task: task.id,
+                    task: id,
                     from_shard: home as u32,
                     to_shard: target as u32,
                     kind: MigrateKind::Wake,
@@ -513,10 +540,10 @@ impl Inner {
             }
         }
         if target == home {
-            core.blocked.remove(&task.id);
-            core.sched.wake(task.id, now);
-            self.dispatch(&mut core, &mut wakes);
-            self.flag_wake_preemption(&mut core, task.id);
+            core.blocked.remove(&id);
+            core.sched.wake(id, now);
+            self.dispatch(&mut core, &mut wakes, now);
+            self.flag_wake_preemption(&mut core, id, now);
         } else {
             // Overloaded home shard: re-admit the waker on the target
             // shard instead (fresh tags there, like any migration).
@@ -524,20 +551,14 @@ impl Inner {
             self.wake_migrations.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
             drop(core);
             let (mut from, mut to) = lock_pair(&self.shards[home], &self.shards[target]);
-            from.blocked.remove(&task.id);
-            self.move_task_locked(&mut from, target, &mut to, task.id);
+            let now = self.now();
+            from.blocked.remove(&id);
+            self.move_task_locked(&mut from, target, &mut to, id, now);
             drop(from);
-            self.dispatch(&mut to, &mut wakes);
-            self.flag_wake_preemption(&mut to, task.id);
+            self.dispatch(&mut to, &mut wakes, now);
+            self.flag_wake_preemption(&mut to, id, now);
         }
         true
-    }
-
-    /// Wakes a blocked task by id: one global-registry probe instead of
-    /// scanning every shard's lock. Returns `false` if it was not blocked.
-    fn wake_id(&self, id: TaskId) -> bool {
-        let task = self.global.lock().registry.get(&id).cloned();
-        task.is_some_and(|t| self.wake_blocked(&t))
     }
 
     /// One surplus-rebalance pass (timer thread, sharded only):
@@ -568,18 +589,19 @@ impl Inner {
             };
             debug_assert_eq!((pf, pt), (from, to), "loads moved under the global lock");
             bal.migrate(id, to);
-            self.move_task_locked(&mut f, to, &mut t, id);
+            let now = self.now();
+            self.move_task_locked(&mut f, to, &mut t, id, now);
             drop(f);
             if self.trace.on() {
                 self.trace.emit(TraceEvent::Migrate {
-                    t: self.now().as_nanos(),
+                    t: now.as_nanos(),
                     task: id,
                     from_shard: from as u32,
                     to_shard: to as u32,
                     kind: MigrateKind::Rebalance,
                 });
             }
-            self.dispatch(&mut t, &mut wakes);
+            self.dispatch(&mut t, &mut wakes, now);
             self.rebalances.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
         }
     }
@@ -587,15 +609,15 @@ impl Inner {
 
 /// A handle to a spawned task, returned by [`Executor::spawn`].
 pub struct TaskHandle {
-    id: TaskId,
     task: Arc<RtTask>,
-    thread: Option<thread::JoinHandle<()>>,
+    /// Disconnected once the task's exit bookkeeping is done.
+    done: mpsc::Receiver<()>,
 }
 
 impl TaskHandle {
     /// The task's id in the scheduler.
     pub fn id(&self) -> TaskId {
-        self.id
+        self.task.id
     }
 
     /// Total CPU service (virtual-CPU hold time) so far.
@@ -604,19 +626,17 @@ impl TaskHandle {
         Duration::from_nanos(self.task.service_ns.load(Ordering::Relaxed))
     }
 
-    /// Waits for the task's thread to finish.
+    /// Waits for the task to finish.
     pub fn join(self) {
         self.join_service();
     }
 
-    /// Waits for the task's thread to finish — including the scheduler
+    /// Waits for the task to finish — including the scheduler
     /// bookkeeping that charges its final quantum — and returns the
     /// task's total CPU service.
-    pub fn join_service(mut self) -> Duration {
-        if let Some(h) = self.thread.take() {
-            let _ = h.join();
-        }
-        // relaxed: stats read; joiners get exactness from thread join.
+    pub fn join_service(self) -> Duration {
+        let _ = self.done.recv();
+        // relaxed: stats read; the done signal orders the final charge.
         Duration::from_nanos(self.task.service_ns.load(Ordering::Relaxed))
     }
 }
@@ -668,8 +688,10 @@ impl TaskCtx {
                 self.task.preempt.store(false, Ordering::Release);
                 return;
             }
-            self.inner.stop_running(&mut core, self.task.id, reason);
-            self.inner.dispatch(&mut core, &mut wakes);
+            let now = self.inner.now();
+            self.inner
+                .stop_running(&mut core, self.task.id, reason, now);
+            self.inner.dispatch(&mut core, &mut wakes, now);
         }
         self.task.wait_granted();
     }
@@ -710,7 +732,7 @@ impl TaskCtx {
     /// blocked task). Returns `true` if the task was blocked. The
     /// producer must set its token *before* calling this.
     pub fn wake_task(&self, id: TaskId) -> bool {
-        self.inner.wake_id(id)
+        self.inner.wake(id)
     }
 
     /// Blocks (releases the virtual CPU) for the given duration — the
@@ -721,7 +743,7 @@ impl TaskCtx {
         thread::sleep(d.to_std());
         // `stop()` or `wake_task` may have woken us already; only
         // report the wakeup if we are still blocked.
-        self.inner.wake_blocked(&self.task);
+        self.inner.wake(self.task.id);
         self.task.wait_granted();
     }
 }
@@ -761,13 +783,7 @@ impl Executor {
     /// option: the machine is split into per-shard policy instances
     /// behind per-shard locks, with the balancer in the global section
     /// and a periodic surplus rebalance on the timer thread. Unsharded
-    /// specs behave exactly like [`Executor::new`].
-    pub fn from_spec(cfg: RtConfig, spec: &PolicySpec) -> Executor {
-        Executor::from_spec_traced(cfg, spec, TraceRecorder::off())
-    }
-
-    /// [`Executor::from_spec`] with an event recorder (see
-    /// [`Executor::new_traced`]).
+    /// specs behave exactly like [`Executor::new_traced`].
     pub fn from_spec_traced(cfg: RtConfig, spec: &PolicySpec, rec: TraceRecorder) -> Executor {
         let admit = spec.admission().copied();
         if spec.shard_count() <= 1 {
@@ -812,15 +828,7 @@ impl Executor {
                     ShardCore {
                         index: s,
                         sched,
-                        cpus: vec![
-                            CpuSlot {
-                                current: None,
-                                dispatched_at: Instant::now(),
-                                slice: Duration::ZERO,
-                                last_task: None,
-                            };
-                            layout.shard_cpus(s) as usize
-                        ],
+                        cpus: vec![CpuSlot::default(); layout.shard_cpus(s) as usize],
                         cpu_base: base,
                         tasks: TaskMap::new(),
                         blocked: TaskMap::new(),
@@ -837,7 +845,7 @@ impl Executor {
                 rank::GLOBAL,
                 Global {
                     bal,
-                    registry: TaskMap::new(),
+                    idle: Vec::new(),
                     next_id: 1,
                     live: 0,
                     admit: admit.map(AdmissionControl::new),
@@ -923,10 +931,11 @@ impl Executor {
                 {
                     let wait_start = Instant::now();
                     let core = shard.lock();
+                    let now = inner.now();
                     occupied = core.cpus.iter().filter(|c| c.current.is_some()).count();
                     waiting = core.sched.nr_runnable() > 0;
                     if tracing {
-                        let t = inner.now().as_nanos();
+                        let t = now.as_nanos();
                         inner.trace.emit(TraceEvent::Counter {
                             t,
                             track: CounterTrack::LockWaitNs,
@@ -948,13 +957,12 @@ impl Executor {
                     }
                     for slot in &core.cpus {
                         let Some(id) = slot.current else { continue };
-                        let ran = Duration::from_std(slot.dispatched_at.elapsed());
+                        let ran = now.since(slot.dispatched_at);
                         if tracing {
                             // Worst running surplus / smallest running φ
                             // across every shard's occupied slots, the
                             // same §2.2 picture the simulator samples.
-                            let rt_now = inner.now();
-                            if let Some(s) = core.sched.charged_surplus(id, ran, rt_now) {
+                            if let Some(s) = core.sched.charged_surplus(id, ran, now) {
                                 let s = s.to_f64();
                                 max_surplus = Some(max_surplus.map_or(s, |m| m.max(s)));
                             }
@@ -1076,19 +1084,14 @@ impl Executor {
     where
         F: FnOnce(&TaskCtx) + Send + 'static,
     {
-        match self.try_spawn_in_tenant(name, weight, tenant, body) {
-            Ok(handle) => handle,
-            Err(reason) => panic!(
-                "task {name:?} rejected by admission control ({reason}); \
-                 use try_spawn_in_tenant to handle rejection"
-            ),
-        }
+        self.try_spawn_in_tenant(name, weight, tenant, body)
+            .unwrap_or_else(|why| panic!("task {name:?} refused by admission control ({why})"))
     }
 
     /// [`Executor::spawn_in_tenant`], but admission-checked: when the
     /// executor was built from a policy with an `admit(...)` clause the
     /// task may be refused (tenant cap, rate limit, or global load
-    /// shed). A rejected task never attaches, never starts a thread,
+    /// shed). A rejected task never attaches, never takes a thread,
     /// and consumes no weight; the caller gets the typed
     /// [`RejectReason`]. Without an admission policy this always
     /// succeeds.
@@ -1102,7 +1105,7 @@ impl Executor {
     where
         F: FnOnce(&TaskCtx) + Send + 'static,
     {
-        let (task, ctx) = {
+        let (ctx, worker) = {
             let mut wakes = Wakeups::new();
             let mut global = self.inner.global.lock();
             let id = TaskId(global.next_id);
@@ -1147,10 +1150,9 @@ impl Executor {
                 granted: OrderedMutex::new(rank::GRANTED, false),
                 cv: Condvar::new(),
             });
-            global.registry.insert(id, Arc::clone(&task));
             let mut core = self.inner.shards[shard].lock();
-            core.tasks.insert(id, Arc::clone(&task));
             let now = self.inner.now();
+            core.tasks.insert(id, Arc::clone(&task));
             core.sched.attach_tenant(id, weight, tenant, now);
             if self.inner.trace.on() {
                 self.inner
@@ -1161,90 +1163,80 @@ impl Executor {
                     task: id,
                 });
             }
-            self.inner.dispatch(&mut core, &mut wakes);
-            let ctx = TaskCtx {
-                inner: Arc::clone(&self.inner),
-                task: Arc::clone(&task),
-            };
-            (task, ctx)
+            self.inner.dispatch(&mut core, &mut wakes, now);
+            let inner = Arc::clone(&self.inner);
+            (TaskCtx { inner, task }, global.idle.pop())
         };
-        let inner = Arc::clone(&self.inner);
-        let task2 = Arc::clone(&task);
-        let thread = thread::Builder::new()
-            .name(format!("sfs-task-{}", task.id))
-            .spawn(move || {
-                task2.wait_granted();
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    body(&ctx);
-                }));
-                let panicked = result.is_err();
-                {
-                    let mut wakes = Wakeups::new();
-                    let mut global = inner.global.lock();
-                    let (_, mut core) = inner.lock_own_shard(&task2);
-                    core.blocked.remove(&task2.id);
-                    if core.slot_of(task2.id).is_some() {
-                        inner.stop_running(&mut core, task2.id, SwitchReason::Exited);
-                    } else if core.sched.weight_of(task2.id).is_some() {
-                        // Exited while not on a CPU (e.g. right after a
-                        // block woke it but before it was granted —
-                        // cannot happen for well-formed bodies, but a
-                        // panicking body may unwind from anywhere).
-                        core.sched.reap(task2.id, inner.now());
-                    }
-                    if panicked {
-                        // A panicking body is forcibly reaped: record
-                        // it, and audit the scheduler's books right away
-                        // so a weight leak is caught at the fault, not
-                        // at some later unrelated assertion.
-                        inner.reaped.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
-                        if inner.trace.on() {
-                            inner.trace.emit(TraceEvent::TaskReaped {
-                                t: inner.now().as_nanos(),
-                                task: task2.id,
-                            });
-                        }
-                        let audit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            core.sched.check_invariants();
-                        }));
-                        if audit.is_err() {
-                            // relaxed: stats counter
-                            inner.invariant_violations.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    if task2.admitted {
-                        if let Some(admit) = global.admit.as_mut() {
-                            admit.release(task2.tenant);
-                        }
-                    }
-                    if let Some(bal) = global.bal.as_mut() {
-                        bal.remove(task2.id);
-                    }
-                    core.tasks.remove(&task2.id);
-                    global.registry.remove(&task2.id);
-                    global.live -= 1;
-                    inner.dispatch(&mut core, &mut wakes);
-                    let s = task2.shard.load(Ordering::Acquire);
-                    let idle = core.cpus.iter().any(|c| c.current.is_none());
-                    drop(core);
-                    if idle {
-                        // The exit may have freed a CPU: offer it a
-                        // stolen task before it idles.
-                        inner.steal_on_idle(&mut global, s, &mut wakes);
-                    }
-                    inner.idle_cv.notify_all();
+        let worker = worker.unwrap_or_else(Worker::spawn);
+        let jobs = worker.jobs.clone();
+        let (done_tx, done) = mpsc::channel();
+        let task = Arc::clone(&ctx.task);
+        let job = move || {
+            let (inner, task) = (&ctx.inner, &ctx.task);
+            task.wait_granted();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx)));
+            let panicked = result.is_err();
+            if let Err(p) = result {
+                // Surface panics to the test harness.
+                eprintln!("task {} panicked: {p:?}", task.id);
+            }
+            {
+                let mut wakes = Wakeups::new();
+                let mut global = inner.global.lock();
+                let (s, mut core) = inner.lock_own_shard(task);
+                let now = inner.now();
+                core.blocked.remove(&task.id);
+                if core.slot_of(task.id).is_some() {
+                    inner.stop_running(&mut core, task.id, SwitchReason::Exited, now);
+                } else if core.sched.weight_of(task.id).is_some() {
+                    // Off-CPU exit: only a panicking body unwinds there.
+                    core.sched.reap(task.id, now);
                 }
-                if let Err(p) = result {
-                    // Surface panics to the test harness.
-                    eprintln!("task {} panicked: {p:?}", task2.id);
+                if panicked {
+                    // Record the forced reap and audit the books now, so
+                    // a weight leak is caught at the fault.
+                    inner.reaped.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
+                    if inner.trace.on() {
+                        inner.trace.emit(TraceEvent::TaskReaped {
+                            t: now.as_nanos(),
+                            task: task.id,
+                        });
+                    }
+                    let audit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        core.sched.check_invariants();
+                    }));
+                    if audit.is_err() {
+                        // relaxed: stats counter
+                        inner.invariant_violations.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
-            })
-            .expect("spawning task thread"); // invariant: spawn-time, not hot path; OS thread-spawn failure is fatal
-        Ok(TaskHandle {
-            id: task.id,
-            task,
-            thread: Some(thread),
-        })
+                if task.admitted {
+                    if let Some(admit) = global.admit.as_mut() {
+                        admit.release(task.tenant);
+                    }
+                }
+                if let Some(bal) = global.bal.as_mut() {
+                    bal.remove(task.id);
+                }
+                core.tasks.remove(&task.id);
+                global.live -= 1;
+                inner.dispatch(&mut core, &mut wakes, now);
+                let idle = core.cpus.iter().any(|c| c.current.is_none());
+                drop(core);
+                if idle {
+                    // The exit may have freed a CPU: offer it a
+                    // stolen task before it idles.
+                    inner.steal_on_idle(&mut global, s, &mut wakes);
+                }
+                global.idle.push(worker);
+                inner.idle_cv.notify_all();
+            }
+            drop(done_tx);
+        };
+        // invariant: a job parks its thread after its last step that can
+        // unwind, so a popped worker is alive.
+        jobs.send(Box::new(job)).expect("task thread parked");
+        Ok(TaskHandle { task, done })
     }
 
     /// Asks all cooperative loops to stop (see [`TaskCtx::stopped`]).
@@ -1258,9 +1250,9 @@ impl Executor {
         // shard — migration at shutdown is pointless churn.
         let mut wakes = Wakeups::new();
         let mut global = self.inner.global.lock();
-        let now = self.inner.now();
         for shard in &self.inner.shards {
             let mut core = shard.lock();
+            let now = self.inner.now();
             for t in core.tasks.values() {
                 t.preempt.store(true, Ordering::Release);
             }
@@ -1270,7 +1262,7 @@ impl Executor {
                 }
                 core.sched.wake(id, now);
             }
-            self.inner.dispatch(&mut core, &mut wakes);
+            self.inner.dispatch(&mut core, &mut wakes, now);
         }
     }
 
@@ -1295,7 +1287,7 @@ impl Executor {
     /// spawning thread kicking off a token ring). Returns `true` if the
     /// task was blocked.
     pub fn wake_task(&self, id: TaskId) -> bool {
-        self.inner.wake_id(id)
+        self.inner.wake(id)
     }
 
     /// Number of run-queue shards.
@@ -1359,6 +1351,12 @@ impl Drop for Executor {
         self.inner.shutdown.store(true, Ordering::Release);
         if let Some(t) = self.timer.take() {
             let _ = t.join();
+        }
+        // Closing its queue ends a parked thread.
+        let idle = std::mem::take(&mut self.inner.global.lock().idle);
+        for Worker { jobs, thread } in idle {
+            drop(jobs);
+            let _ = thread.join();
         }
     }
 }
@@ -1621,12 +1619,13 @@ mod tests {
     #[test]
     fn sharded_executor_keeps_proportional_shares() {
         let spec: PolicySpec = "sfs:quantum=2ms,shards=2,rebalance=10ms".parse().unwrap();
-        let ex = Executor::from_spec(
+        let ex = Executor::from_spec_traced(
             RtConfig {
                 cpus: 2,
                 timer_interval: Duration::from_micros(200),
             },
             &spec,
+            TraceRecorder::off(),
         );
         assert_eq!(ex.shards(), 2);
         // Four spinners 3:3:1:1 over two single-CPU shards: placement
@@ -1657,12 +1656,13 @@ mod tests {
     #[test]
     fn sharded_executor_steals_work_from_loaded_shards() {
         let spec: PolicySpec = "sfs:quantum=1ms,shards=2,rebalance=5ms".parse().unwrap();
-        let ex = Executor::from_spec(
+        let ex = Executor::from_spec_traced(
             RtConfig {
                 cpus: 2,
                 timer_interval: Duration::from_micros(200),
             },
             &spec,
+            TraceRecorder::off(),
         );
         // Three equal spinners on two shards: one shard gets two tasks.
         // Stealing + rebalancing must keep both CPUs busy and the
@@ -1693,12 +1693,13 @@ mod tests {
     #[test]
     fn sharded_executor_blocking_and_waking_across_shards() {
         let spec: PolicySpec = "sfs:quantum=1ms,shards=2".parse().unwrap();
-        let ex = Executor::from_spec(
+        let ex = Executor::from_spec_traced(
             RtConfig {
                 cpus: 2,
                 timer_interval: Duration::from_micros(200),
             },
             &spec,
+            TraceRecorder::off(),
         );
         let sleeper = ex.spawn("sleeper", weight(1), |ctx| {
             for _ in 0..5 {
@@ -1756,9 +1757,9 @@ mod tests {
 
     /// Runs `rings` token rings of `n` tasks each for `rounds` laps
     /// (`block_on_token`/`wake_task` hand-offs) and returns every task's
-    /// hop count in spawn order. A lost grant stalls a ring, and the
-    /// bounded wait turns that into a failure instead of a hang.
-    fn run_rings(ex: &Executor, rings: usize, n: usize, rounds: u64) -> Vec<u64> {
+    /// hop count and service in spawn order. A lost grant stalls a ring,
+    /// and the bounded wait turns that into a failure instead of a hang.
+    fn run_rings(ex: &Executor, rings: usize, n: usize, rounds: u64) -> Vec<(u64, Duration)> {
         let tokens: Arc<Vec<AtomicBool>> =
             Arc::new((0..rings * n).map(|_| AtomicBool::new(false)).collect());
         let (tx, rx) = std::sync::mpsc::channel();
@@ -1792,11 +1793,12 @@ mod tests {
             hops[i] = h;
         }
         ex.wait();
-        for (i, h) in handles.into_iter().enumerate() {
+        let mut out = Vec::new();
+        for ((i, h), hops) in handles.into_iter().enumerate().zip(hops) {
             assert_eq!(h.id(), TaskId(i as u64 + 1));
-            h.join();
+            out.push((hops, h.join_service()));
         }
-        hops
+        out
     }
 
     #[test]
@@ -1809,7 +1811,7 @@ mod tests {
             small_sfs(1),
         );
         let hops = run_rings(&ex, 1, 8, 200);
-        assert_eq!(hops, vec![200; 8]);
+        assert!(hops.iter().all(|&(h, _)| h == 200), "{hops:?}");
         // One CPU and no checkpoints: after the first lap every hop is
         // a block, a pick and a grant to a different task.
         assert!(ex.switches() >= 8 * 199, "switches = {}", ex.switches());
@@ -1821,15 +1823,110 @@ mod tests {
         // are runnable at once, so wakes are placed by the balancer and
         // a blocking shard may steal the other's ready task.
         let spec: PolicySpec = "sfs:quantum=1ms,shards=2".parse().unwrap();
-        let ex = Executor::from_spec(
+        let ex = Executor::from_spec_traced(
             RtConfig {
                 cpus: 2,
                 timer_interval: Duration::from_micros(200),
             },
             &spec,
+            TraceRecorder::off(),
         );
         let hops = run_rings(&ex, 2, 4, 200);
-        assert_eq!(hops, vec![200; 8]);
+        assert!(hops.iter().all(|&(h, _)| h == 200), "{hops:?}");
+    }
+
+    #[test]
+    fn token_ring_accounting_is_contiguous() {
+        let rec = TraceRecorder::new(sfs_trace::TraceMeta {
+            substrate: "rt".into(),
+            scenario: "ring".into(),
+            policy: "sfs".into(),
+            cpus: 1,
+            tenants: Vec::new(),
+        });
+        let cfg = RtConfig {
+            cpus: 1,
+            ..RtConfig::default()
+        };
+        let ex = Executor::new_traced(cfg, small_sfs(1), rec.clone());
+        let ring = run_rings(&ex, 1, 8, 200);
+        drop(ex);
+        // Replay the one CPU: a slice that ends while another task is
+        // ready hands the CPU over in the same scheduler entry, so the
+        // next slice must begin at the very same nanosecond.
+        let mut ready = std::collections::BTreeSet::new();
+        let mut running: Option<(TaskId, u64)> = None;
+        let mut handoff: Option<u64> = None;
+        let mut handoffs = 0;
+        let mut traced = [0u64; 8];
+        for ev in rec.finish().events {
+            match ev {
+                TraceEvent::Wake { task, .. } => {
+                    ready.insert(task);
+                }
+                TraceEvent::SliceBegin { t, task, .. } => {
+                    assert!(ready.remove(&task), "{task} ran without being ready");
+                    if let Some(end) = handoff.take() {
+                        assert_eq!(t, end, "a gap at the hand-off to {task}");
+                        handoffs += 1;
+                    }
+                    running = Some((task, t));
+                }
+                TraceEvent::SliceEnd {
+                    t, task, reason, ..
+                } => {
+                    let (began, t0) = running.take().expect("a slice ends after it begins");
+                    assert_eq!(began, task);
+                    traced[task.0 as usize - 1] += t - t0;
+                    if reason.still_runnable() {
+                        ready.insert(task);
+                    }
+                    handoff = (!ready.is_empty()).then_some(t);
+                }
+                _ => {}
+            }
+        }
+        assert!(handoffs >= 8 * 199, "only {handoffs} hand-offs traced");
+        for (i, &(_, service)) in ring.iter().enumerate() {
+            assert_eq!(service.as_nanos(), traced[i], "task {}", i + 1);
+        }
+    }
+
+    #[test]
+    fn spawns_reuse_one_thread_and_drop_joins_it() {
+        let ex = Executor::new(
+            RtConfig {
+                cpus: 1,
+                ..RtConfig::default()
+            },
+            small_sfs(1),
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let spawn = |panics: bool| {
+            let tx = tx.clone();
+            ex.spawn("job", weight(1), move |_| {
+                tx.send(thread::current().id()).unwrap();
+                assert!(!panics, "injected fault");
+            })
+            .join();
+        };
+        for _ in 0..50 {
+            spawn(false);
+        }
+        spawn(true);
+        spawn(false);
+        drop(tx);
+        let threads: Vec<_> = rx.iter().collect();
+        assert_eq!(threads.len(), 52);
+        assert!(threads.iter().all(|t| *t == threads[0]), "{threads:?}");
+        assert_eq!(ex.reaped(), 1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            drop(ex);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("dropping the executor hung on its idle threads");
     }
 
     #[test]
@@ -1858,12 +1955,13 @@ mod tests {
     #[test]
     fn admission_policy_rejects_over_cap_spawns() {
         let spec: PolicySpec = "sfs:quantum=2ms,admit(max=2)".parse().unwrap();
-        let ex = Executor::from_spec(
+        let ex = Executor::from_spec_traced(
             RtConfig {
                 cpus: 1,
                 timer_interval: Duration::from_micros(200),
             },
             &spec,
+            TraceRecorder::off(),
         );
         let a = ex
             .try_spawn_in_tenant("a", weight(1), None, spin)

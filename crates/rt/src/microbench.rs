@@ -4,8 +4,8 @@
 //!
 //! * [`checkpoint_cost`] — the cost of a no-op scheduler entry point
 //!   (the userspace analogue of lmbench's null *syscall overhead* row);
-//! * [`spawn_cost`] — creating and retiring a task (the *fork/exec*
-//!   rows);
+//! * [`spawn_cost`] — attaching and retiring a task on a pooled thread
+//!   (the *fork/exec* rows; no OS thread is created per spawn);
 //! * [`ctx_switch_latency`] — the yield ping-pong of `lat_ctx`: `n`
 //!   tasks on one virtual CPU, each touching a working set of
 //!   `wset_kb` KiB between yields, exactly like lmbench's
@@ -55,7 +55,7 @@ pub fn checkpoint_cost(sched: Box<dyn Scheduler>, iters: u64) -> Duration {
 /// Average cost of spawning a task and waiting for it to retire.
 pub fn spawn_cost(mk_sched: impl Fn() -> Box<dyn Scheduler>, n: u64) -> Duration {
     let ex = single_cpu(mk_sched());
-    // Warm up the thread machinery once.
+    // Creates the one task thread every spawn below reuses.
     ex.spawn("warm", weight(1), |_| {}).join();
     let t0 = Instant::now();
     for i in 0..n {
@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn spawn_cost_is_bounded() {
         let cost = spawn_cost(|| PolicySpec::sfs().build(1), 20);
-        // Thread spawn + scheduler attach; generous bound for CI boxes.
+        // Scheduler attach + hand-off; generous bound for CI boxes.
         assert!(cost < Duration::from_millis(20), "spawn cost {cost}");
         assert!(cost > Duration::ZERO);
     }

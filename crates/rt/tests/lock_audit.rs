@@ -23,6 +23,7 @@ use sfs_core::policy::PolicySpec;
 use sfs_core::task::weight;
 use sfs_core::time::Duration;
 use sfs_rt::{Executor, RtConfig, TaskCtx};
+use sfs_trace::TraceRecorder;
 
 fn spin(ctx: &TaskCtx) {
     while !ctx.stopped() {
@@ -42,12 +43,13 @@ fn observed_lock_graph_is_acyclic_across_executor_flows() {
         .with_quantum(Duration::from_millis(1))
         .with_shards(2)
         .with_rebalance_every(Duration::from_millis(5));
-    let ex = Executor::from_spec(
+    let ex = Executor::from_spec_traced(
         RtConfig {
             cpus: 4,
             timer_interval: Duration::from_micros(200),
         },
         &spec,
+        TraceRecorder::off(),
     );
 
     // Spinners keep all CPUs busy so quantum expiry, preemption and
@@ -109,7 +111,6 @@ fn observed_lock_graph_is_acyclic_across_executor_flows() {
     for expected in [
         (rank::GLOBAL, rank::shard(0)),   // placement / rebalance / wake
         (rank::shard(0), rank::shard(1)), // two-lock migration, ascending
-        (rank::shard(0), rank::GRANTED),  // revoke under shard lock
     ] {
         assert!(
             edges.contains(&expected),
@@ -119,6 +120,17 @@ fn observed_lock_graph_is_acyclic_across_executor_flows() {
             edges
         );
     }
+
+    // A grant is set and consumed with no scheduler lock held, so no
+    // global or shard lock ever precedes a `granted` flag.
+    let under = edges
+        .iter()
+        .filter(|(held, taken)| *taken == rank::GRANTED && held.level <= rank::shard(0).level);
+    assert_eq!(
+        under.count(),
+        0,
+        "granted under a scheduler lock: {edges:?}"
+    );
 
     // The point of the exercise: no cycle anywhere in what actually
     // ran.
