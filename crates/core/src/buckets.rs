@@ -58,11 +58,19 @@
 //! The location index (task → its `φ` bucket and start-tag key) is a
 //! [`TaskMap`]: an index lookup is two indexed loads, with no hashing,
 //! so the ordered-set work above is what an operation costs.
+//!
+//! The queue is also the one surplus core of §2.3, for threads
+//! ([`crate::sfs`]) and tenant groups ([`crate::hier`]) alike: it holds
+//! the virtual time `v` — the least queued start tag, frozen at the last
+//! finish tag while the queue is empty — enters an entry at
+//! `S = max(F, v)`, and picks the least `φ·(S − v)`. The owner keeps the
+//! tags and charges `F = S + q/φ` itself.
 
 use std::collections::BTreeSet;
 
 use crate::fixed::Fixed;
 use crate::queues::tree_steps;
+use crate::sched::SchedStats;
 use crate::task::TaskId;
 use crate::taskmap::TaskMap;
 
@@ -90,6 +98,9 @@ pub struct BucketQueue {
     index: TaskMap<(Fixed, Fixed)>,
     /// Cumulative event-path steps; see [`BucketQueue::steps`].
     steps: u64,
+    /// The virtual time as of the last pick: surpluses are taken
+    /// against it. The last finish tag while the queue is empty.
+    v: Fixed,
 }
 
 impl BucketQueue {
@@ -125,18 +136,60 @@ impl BucketQueue {
         self.index.contains_key(&id)
     }
 
-    /// The `φ` bucket a task currently sits in, if queued.
-    pub fn phi_of(&self, id: TaskId) -> Option<Fixed> {
-        self.index.get(&id).map(|&(phi, _)| phi)
+    /// The virtual time `v` right now (§2.3): the least queued start
+    /// tag, in O(#buckets) from the cached heads, or the last finish tag
+    /// while the queue is empty. This subsumes the start-tag-sorted queue
+    /// #2 of §3.1: its head was the only thing the scheduler ever read
+    /// from it, while its per-requeue sorted reinsertion cost
+    /// O(displacement) ≈ O(n) on the global list.
+    pub(crate) fn virtual_time(&self) -> Fixed {
+        let least = self.buckets.iter().map(|b| b.head.0).min();
+        least.unwrap_or(self.v)
     }
 
-    /// The minimum start tag over all queued tasks — the virtual time
-    /// `v` of §2.3 — in O(#buckets), reading the cached heads. This
-    /// subsumes the start-tag-sorted queue #2 of §3.1: its head was the
-    /// only thing the scheduler ever read from it, while its per-requeue
-    /// sorted reinsertion cost O(displacement) ≈ O(n) on the global list.
-    pub fn min_start(&self) -> Option<Fixed> {
-        self.buckets.iter().map(|b| b.head.0).min()
+    /// The surplus `α = φ·(S − v)` of an entry with weight `phi` and
+    /// start tag `start_tag`, against `v` as of the last pick.
+    pub(crate) fn surplus(&self, phi: Fixed, start_tag: Fixed) -> Fixed {
+        phi.mul_fixed(start_tag - self.v)
+    }
+
+    /// Queues an entry that becomes runnable with finish tag
+    /// `finish_tag`, at the start tag `S = max(F, v)`, and returns `S`:
+    /// a sleeper gains no credit, and an arrival (`F ≤ v`) starts at `v`.
+    pub(crate) fn enter(&mut self, id: TaskId, phi: Fixed, finish_tag: Fixed) -> Fixed {
+        let start_tag = finish_tag.max(self.virtual_time());
+        self.insert(id, phi, start_tag);
+        start_tag
+    }
+
+    /// Removes an entry that stops being runnable with finish tag
+    /// `finish_tag`. If it was the last, `v` freezes at that tag.
+    pub(crate) fn leave(&mut self, id: TaskId, finish_tag: Fixed) {
+        self.remove(id);
+        if self.is_empty() {
+            self.v = finish_tag;
+        }
+    }
+
+    /// The §2.3 pick: advances `v` to the least start tag, counting a
+    /// move in `vt_changes`, then returns the least-surplus entry for
+    /// which `ready` holds, counting the entries examined in
+    /// `bucket_scans`. Advancing `v` moves no entry: within a weight
+    /// class surplus order does not depend on it.
+    pub(crate) fn pick(
+        &mut self,
+        stats: &mut SchedStats,
+        ready: impl Fn(TaskId) -> bool,
+    ) -> Option<TaskId> {
+        let v = self.virtual_time();
+        if v != self.v {
+            debug_assert!(v > self.v, "virtual time went backwards");
+            self.v = v;
+            stats.vt_changes += 1;
+        }
+        let (best, scanned) = self.min_surplus(v, ready);
+        stats.bucket_scans += scanned;
+        best.map(|(_, _, id)| id)
     }
 
     /// The position of the `phi` bucket, or where it would be inserted.
@@ -313,12 +366,16 @@ impl BucketQueue {
 
     /// Debug invariant check: buckets are strictly `φ`-sorted, every one
     /// is non-empty with its cached head equal to its first entry, the
-    /// index matches the buckets, and every entry's key equals the start
-    /// tag `start_of` reports for its task.
+    /// index matches the buckets, `v` as of the last pick is at most the
+    /// virtual time, and every entry sits at the start tag and in the
+    /// `φ` bucket its owner records (`owner` returns both), with a start
+    /// tag of at least `v`, so no fresh surplus is negative (§2.3).
     #[doc(hidden)]
-    pub fn check_invariants(&self, start_of: impl Fn(TaskId) -> Fixed) {
+    pub fn check_invariants(&self, owner: impl Fn(TaskId) -> (Fixed, Fixed)) {
         let sorted = self.buckets.windows(2).all(|w| w[0].phi < w[1].phi);
         assert!(sorted, "buckets out of φ order");
+        let v = self.virtual_time();
+        assert!(self.v <= v, "virtual time {v:?} behind the last pick's");
         let mut seen = 0usize;
         for bucket in &self.buckets {
             assert_eq!(
@@ -332,7 +389,10 @@ impl BucketQueue {
                 let &(iphi, istart) = self.index.get(&id).expect("task missing from index");
                 assert_eq!(iphi, bucket.phi, "index phi mismatch for {id}");
                 assert_eq!(istart, key, "index start mismatch for {id}");
-                assert_eq!(key, start_of(id), "stale start-tag key for {id}");
+                let (start_tag, phi) = owner(id);
+                assert_eq!(key, start_tag, "stale start-tag key for {id}");
+                assert_eq!(bucket.phi, phi, "{id} in the wrong weight-class bucket");
+                assert!(key >= v, "start tag of {id} below virtual time");
             }
         }
         assert_eq!(seen, self.index.len(), "index/bucket length mismatch");
@@ -355,11 +415,10 @@ mod tests {
         q.insert(TaskId(3), fx(1), fx(7));
         assert_eq!(q.len(), 3);
         assert_eq!(q.num_buckets(), 2);
-        assert_eq!(q.phi_of(TaskId(3)), Some(fx(1)));
         q.check_invariants(|id| match id.0 {
-            1 => fx(10),
-            2 => fx(5),
-            _ => fx(7),
+            1 => (fx(10), fx(1)),
+            2 => (fx(5), fx(2)),
+            _ => (fx(7), fx(1)),
         });
     }
 
@@ -431,12 +490,17 @@ mod tests {
         assert!(q.set_phi(TaskId(1), fx(2)));
         assert!(!q.set_phi(TaskId(1), fx(2)), "no-op migration");
         assert_eq!(q.num_buckets(), 2);
-        assert_eq!(q.phi_of(TaskId(1)), Some(fx(2)));
         // The start tag is kept across the move.
-        q.check_invariants(|id| if id.0 == 1 { fx(100) } else { fx(50) });
+        q.check_invariants(|id| {
+            if id.0 == 1 {
+                (fx(100), fx(2))
+            } else {
+                (fx(50), fx(5))
+            }
+        });
         q.remove(TaskId(2));
         assert_eq!(q.num_buckets(), 1, "empty bucket pruned");
-        q.check_invariants(|_| fx(100));
+        q.check_invariants(|_| (fx(100), fx(2)));
     }
 
     #[test]
@@ -447,23 +511,23 @@ mod tests {
         q.update_start(TaskId(1), fx(9));
         let (best, _) = q.min_surplus(Fixed::ZERO, |_| true);
         assert_eq!(best, Some((fx(2), fx(2), TaskId(2))));
-        q.check_invariants(|id| if id.0 == 1 { fx(9) } else { fx(2) });
+        q.check_invariants(|id| (if id.0 == 1 { fx(9) } else { fx(2) }, fx(1)));
         // The cached head follows an entry that moves in front of it, and
         // stays put when a later entry moves further back.
         q.update_start(TaskId(1), fx(0));
-        assert_eq!(q.min_start(), Some(fx(0)));
+        assert_eq!(q.virtual_time(), fx(0));
         q.update_start(TaskId(2), fx(5));
-        q.check_invariants(|id| if id.0 == 1 { fx(0) } else { fx(5) });
+        q.check_invariants(|id| (if id.0 == 1 { fx(0) } else { fx(5) }, fx(1)));
     }
 
     #[test]
     fn min_start_and_start_iter_span_buckets() {
         let mut q = BucketQueue::new();
-        assert_eq!(q.min_start(), None);
+        assert_eq!(q.virtual_time(), Fixed::ZERO);
         q.insert(TaskId(1), fx(1), fx(10));
         q.insert(TaskId(2), fx(7), fx(3));
         q.insert(TaskId(3), fx(1), fx(5));
-        assert_eq!(q.min_start(), Some(fx(3)));
+        assert_eq!(q.virtual_time(), fx(3));
     }
 
     #[test]
@@ -487,6 +551,29 @@ mod tests {
             q.max_surplus(fx(3), |_| true),
             Some((fx(7), fx(10), TaskId(1)))
         );
+    }
+
+    #[test]
+    fn entries_start_at_v_and_v_freezes_when_the_queue_empties() {
+        let mut q = BucketQueue::new();
+        let mut stats = SchedStats::default();
+        // An arrival starts at v; an entry with a later finish tag keeps it.
+        assert_eq!(q.enter(TaskId(1), fx(1), Fixed::ZERO), Fixed::ZERO);
+        assert_eq!(q.enter(TaskId(2), fx(2), fx(6)), fx(6));
+        assert_eq!(q.pick(&mut stats, |_| true), Some(TaskId(1)));
+        q.update_start(TaskId(1), fx(10));
+        // The pick advances v to the least start tag, 6: T2's surplus
+        // 2·(6 − 6) = 0 beats T1's 1·(10 − 6) = 4.
+        assert_eq!(q.pick(&mut stats, |_| true), Some(TaskId(2)));
+        assert_eq!((q.virtual_time(), stats.vt_changes), (fx(6), 1));
+        assert_eq!(q.surplus(fx(1), fx(10)), fx(4));
+        q.leave(TaskId(2), fx(8));
+        q.leave(TaskId(1), fx(12));
+        // Idle: v is the last finish tag, and a sleeper's earlier finish
+        // tag is floored at it.
+        assert_eq!(q.virtual_time(), fx(12));
+        assert_eq!(q.enter(TaskId(2), fx(2), fx(8)), fx(12));
+        q.check_invariants(|_| (fx(12), fx(2)));
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! threads are ever clamped (§2.1), so the clamp set is a tiny sorted
 //! vector and `phi` lookups are O(log p) binary searches.
 
+use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -133,7 +134,7 @@ impl FeasibleWeights {
     /// Adds a task to the runnable set and readjusts.
     /// Returns `true` if any task's instantaneous weight changed.
     pub fn insert(&mut self, id: TaskId, w: Weight) -> bool {
-        self.insert_many(&[(id, w)])
+        self.insert_many([(id, w)])
     }
 
     /// Adds a whole batch of tasks and readjusts **once**. The final
@@ -142,18 +143,22 @@ impl FeasibleWeights {
     /// function of the resulting weight classes, and the change report
     /// is diffed against the clamp state from before the batch, so it
     /// covers every task whose `φ` differs from that baseline. Returns
-    /// `true` if any task's instantaneous weight changed.
-    pub fn insert_many(&mut self, batch: &[(TaskId, Weight)]) -> bool {
-        if batch.is_empty() {
-            return false;
-        }
-        for &(id, w) in batch {
+    /// `true` if any task's instantaneous weight changed. Takes any
+    /// iterator of `(id, weight)` pairs or references to them, so a
+    /// caller need not collect its batch into a list first.
+    pub fn insert_many<T: Borrow<(TaskId, Weight)>>(
+        &mut self,
+        batch: impl IntoIterator<Item = T>,
+    ) -> bool {
+        let before = self.len;
+        for item in batch {
+            let &(id, w) = item.borrow();
             self.walk_steps += self.map_steps();
             self.link(id, w);
             self.len += 1;
             self.total += w.get() as u128;
         }
-        self.run()
+        self.len != before && self.run()
     }
 
     /// Files `id` under weight class `w`.

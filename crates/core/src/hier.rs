@@ -13,8 +13,12 @@
 //! assumes of a thread — while each group's member tasks are scheduled
 //! by that group's own policy (any registered [`PolicySpec`] kind).
 //!
-//! A pick is two-level: the minimum-surplus group that has a ready
-//! member is chosen from the group-level [`BucketQueue`], then that
+//! The group level applies the §2.3 rules through the same surplus core
+//! as flat [`Sfs`](crate::sfs::Sfs): the group-level [`BucketQueue`]
+//! holds the group virtual time, enters a group at `S_g = max(F_g, v)`,
+//! freezes `v` at the last finish tag when every group idles, and picks
+//! the least `φ_g·(S_g − v)`. A pick is two-level: the minimum-surplus
+//! group that has a ready member is chosen from that queue, then that
 //! group's child policy picks the member. A group is charged for *all*
 //! CPU time its members consume (several members may run concurrently;
 //! each `put_prev` advances the group's tags), so the top level
@@ -22,6 +26,11 @@
 //! tenant's internal task count or weights — the isolation property a
 //! flat weight space cannot give: a tenant flooding the machine with
 //! heavy tasks only competes with itself.
+//!
+//! Every attach and every wake, of one task or a batch, takes one path
+//! ([`HierSfs::attach_batch`], [`HierSfs::wake_batch`]): the child
+//! applies each event, and one group-level readjustment follows, run
+//! only if a group entered or a queued group's capacity moved.
 //!
 //! Members never migrate between groups, and the scheduler nominates no
 //! steal candidates: in a sharded machine tenants move between shards
@@ -79,12 +88,11 @@ pub struct HierSfs {
     groups: Vec<Group>,
     /// Which group each attached task belongs to.
     task_group: TaskMap<usize>,
-    /// Group-level run queue, keyed by group index as a `TaskId`.
+    /// Group-level run queue, keyed by group index as a `TaskId`, and
+    /// the group-level virtual time.
     buckets: BucketQueue,
     /// Sum of the queued groups' raw shares (conservation invariant).
     queued_share_total: u128,
-    /// Group-level virtual time floor (last finish tag when idle).
-    v: Fixed,
     stats: SchedStats,
 }
 
@@ -118,7 +126,6 @@ impl HierSfs {
             task_group: TaskMap::new(),
             buckets: BucketQueue::new(),
             queued_share_total: 0,
-            v: Fixed::ZERO,
             stats: SchedStats::default(),
         }
     }
@@ -141,54 +148,32 @@ impl HierSfs {
         TaskId(gi as u64)
     }
 
-    /// Group-level virtual time: minimum group start tag, or the stored
-    /// value when no group is queued (§2.3).
-    fn current_v(&self) -> Fixed {
-        self.buckets.min_start().unwrap_or(self.v)
-    }
-
-    fn sync_v(&mut self) {
-        let vk = self.current_v();
-        if vk != self.v {
-            debug_assert!(vk > self.v, "group virtual time went backwards");
-            self.v = vk;
-            self.stats.vt_changes += 1;
+    /// Makes one more member of group `gi` runnable through `event`
+    /// (the child's attach or wake). A group whose first member this is
+    /// enters the run queue at `S_g = max(F_g, v)` with its raw share as
+    /// `φ_g` — a tenant idle for a while gets no credit, exactly the
+    /// thread-level wake rule. Returns whether the group-level
+    /// readjustment must run before the next decision: the group
+    /// entered, or its capacity moved while queued.
+    fn member_runnable(&mut self, gi: usize, event: impl FnOnce(&mut dyn Scheduler)) -> bool {
+        let was_idle = self.groups[gi].runnable() == 0;
+        event(&mut *self.groups[gi].sched);
+        if !was_idle {
+            return self.capacity_moved(gi);
         }
-    }
-
-    /// Enters a group into the run queue when its first member becomes
-    /// runnable: `S_g = max(F_g, v)` — a tenant idle for a while gets
-    /// no credit, exactly the thread-level wake rule.
-    fn enqueue_group(&mut self, gi: usize) {
-        self.enqueue_group_raw(gi);
-        self.readjust_groups();
-    }
-
-    /// [`HierSfs::enqueue_group`] without the trailing readjustment —
-    /// the batch-attach path queues many groups and readjusts once at
-    /// the end. Queued groups carry their raw share as `φ_g` until
-    /// that walk runs, so callers must follow up with
-    /// [`HierSfs::readjust_groups`] before any scheduling decision.
-    fn enqueue_group_raw(&mut self, gi: usize) {
-        let gid = HierSfs::gid(gi);
-        debug_assert!(!self.buckets.contains(gid), "group queued twice");
-        let v_now = self.current_v();
-        self.groups[gi].start_tag = self.groups[gi].finish_tag.max(v_now);
-        self.groups[gi].phi = Fixed::from_int(self.groups[gi].share.get() as i64);
-        let start = self.groups[gi].start_tag;
-        self.buckets.insert(gid, self.groups[gi].phi, start);
-        self.queued_share_total += u128::from(self.groups[gi].share.get());
+        let g = &mut self.groups[gi];
+        g.phi = g.share.as_fixed();
+        g.start_tag = self.buckets.enter(HierSfs::gid(gi), g.phi, g.finish_tag);
+        self.queued_share_total += u128::from(g.share.get());
+        true
     }
 
     /// Removes a group whose last runnable member left; freezes the
     /// virtual time at its finish tag if the whole machine idles.
     fn dequeue_group(&mut self, gi: usize) {
-        let gid = HierSfs::gid(gi);
-        self.buckets.remove(gid);
-        self.queued_share_total -= u128::from(self.groups[gi].share.get());
-        if self.buckets.is_empty() {
-            self.v = self.groups[gi].finish_tag;
-        }
+        let g = &self.groups[gi];
+        self.buckets.leave(HierSfs::gid(gi), g.finish_tag);
+        self.queued_share_total -= u128::from(g.share.get());
         self.readjust_groups();
     }
 
@@ -198,14 +183,13 @@ impl HierSfs {
         (self.groups[gi].runnable() as u32).min(self.cpus).max(1)
     }
 
-    /// Re-runs the capacity-aware readjustment if group `gi`'s
-    /// capacity changed while queued (a member arrived, blocked or
-    /// left without emptying the group). In the common saturated case
-    /// — runnable members ≥ p before and after — this is a no-op.
-    fn maybe_readjust(&mut self, gi: usize) {
-        if self.buckets.contains(HierSfs::gid(gi)) && self.groups[gi].cap != self.capacity_of(gi) {
-            self.readjust_groups();
-        }
+    /// True if group `gi` is queued and its capacity changed since the
+    /// last readjustment (a member arrived, blocked or left without
+    /// emptying the group), so the capacity-aware walk must run again.
+    /// In the common saturated case — runnable members ≥ p before and
+    /// after — it is false.
+    fn capacity_moved(&self, gi: usize) -> bool {
+        self.buckets.contains(HierSfs::gid(gi)) && self.groups[gi].cap != self.capacity_of(gi)
     }
 
     /// The queued groups, in index order, and the `(share, capacity)`
@@ -243,9 +227,10 @@ impl HierSfs {
     /// readjustment tracker.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
-        self.buckets
-            .check_invariants(|gid| self.groups[gid.0 as usize].start_tag);
-        let v = self.current_v();
+        self.buckets.check_invariants(|gid| {
+            let g = &self.groups[gid.0 as usize];
+            (g.start_tag, g.phi)
+        });
         for (gi, g) in self.groups.iter().enumerate() {
             g.sched.check_invariants();
             let gid = HierSfs::gid(gi);
@@ -261,17 +246,6 @@ impl HierSfs {
                 g.name
             );
             if self.buckets.contains(gid) {
-                assert!(
-                    g.start_tag >= v,
-                    "group {:?} start tag below virtual time",
-                    g.name
-                );
-                assert_eq!(
-                    self.buckets.phi_of(gid),
-                    Some(g.phi),
-                    "group {:?} in wrong weight-class bucket",
-                    g.name
-                );
                 assert_eq!(
                     g.cap,
                     self.capacity_of(gi),
@@ -323,7 +297,7 @@ impl Scheduler for HierSfs {
     }
 
     fn attach(&mut self, id: TaskId, w: Weight, now: Time) {
-        self.attach_tenant(id, w, None, now);
+        self.attach_batch(&[(id, w, None)], now);
     }
 
     fn bind_tenant(&self, group: &str) -> Option<TenantId> {
@@ -334,44 +308,29 @@ impl Scheduler for HierSfs {
     }
 
     fn attach_tenant(&mut self, id: TaskId, w: Weight, tenant: Option<TenantId>, now: Time) {
-        assert!(
-            !self.task_group.contains_key(&id),
-            "task {id} attached twice"
-        );
-        let gi = self.group_index(tenant);
-        let was_idle = self.groups[gi].runnable() == 0;
-        self.groups[gi].sched.attach(id, w, now);
-        self.task_group.insert(id, gi);
-        if was_idle {
-            self.enqueue_group(gi);
-        } else {
-            self.maybe_readjust(gi);
-        }
+        self.attach_batch(&[(id, w, tenant)], now);
     }
 
-    /// Bulk attach with one §2.1 readjustment: each task does only its
-    /// per-group work (child attach, group queueing), and the global
-    /// capacity-aware walk runs once at the end instead of once per
-    /// attach — turning an n-tenant bulk attach from O(n²) group-walk
-    /// steps into O(n).
+    /// Every attach, of one task or many, with at most one §2.1
+    /// readjustment: each task does only its per-group work (child
+    /// attach, group queueing), and the global capacity-aware walk runs
+    /// once at the end, and only if a group entered or a queued group's
+    /// capacity moved — turning an n-tenant bulk attach from O(n²)
+    /// group-walk steps into O(n).
     fn attach_batch(&mut self, batch: &[(TaskId, Weight, Option<TenantId>)], now: Time) {
-        if batch.is_empty() {
-            return;
-        }
+        let mut readjust = false;
         for &(id, w, tenant) in batch {
             assert!(
                 !self.task_group.contains_key(&id),
                 "task {id} attached twice"
             );
             let gi = self.group_index(tenant);
-            let was_idle = self.groups[gi].runnable() == 0;
-            self.groups[gi].sched.attach(id, w, now);
             self.task_group.insert(id, gi);
-            if was_idle {
-                self.enqueue_group_raw(gi);
-            }
+            readjust |= self.member_runnable(gi, |child| child.attach(id, w, now));
         }
-        self.readjust_groups();
+        if readjust {
+            self.readjust_groups();
+        }
     }
 
     fn tenant_of(&self, id: TaskId) -> Option<TenantId> {
@@ -383,8 +342,8 @@ impl Scheduler for HierSfs {
         self.groups[gi].sched.detach(id, now);
         if self.groups[gi].runnable() == 0 && self.buckets.contains(HierSfs::gid(gi)) {
             self.dequeue_group(gi);
-        } else {
-            self.maybe_readjust(gi);
+        } else if self.capacity_moved(gi) {
+            self.readjust_groups();
         }
     }
 
@@ -407,50 +366,33 @@ impl Scheduler for HierSfs {
     }
 
     fn wake(&mut self, id: TaskId, now: Time) {
-        let gi = *self.task_group.get(&id).expect("waking unknown task");
-        let was_idle = self.groups[gi].runnable() == 0;
-        self.groups[gi].sched.wake(id, now);
-        if was_idle {
-            self.enqueue_group(gi);
-        } else {
-            self.maybe_readjust(gi);
-        }
+        self.wake_batch(&[id], now);
     }
 
-    /// Bulk wake with one group-level §2.1 readjustment, the wake-side
-    /// twin of [`HierSfs::attach_batch`]: each wake does only its
-    /// per-group work (child wake, group queueing) and the global
-    /// capacity-aware walk runs once at the end.
+    /// Every wake, of one task or many, the wake-side twin of
+    /// [`HierSfs::attach_batch`]: each wake does only its per-group work
+    /// (child wake, group queueing) and the global capacity-aware walk
+    /// runs at most once, at the end.
     fn wake_batch(&mut self, ids: &[TaskId], now: Time) {
-        if ids.is_empty() {
-            return;
-        }
+        let mut readjust = false;
         for &id in ids {
             let gi = *self.task_group.get(&id).expect("waking unknown task");
-            let was_idle = self.groups[gi].runnable() == 0;
-            self.groups[gi].sched.wake(id, now);
-            if was_idle {
-                self.enqueue_group_raw(gi);
-            }
+            readjust |= self.member_runnable(gi, |child| child.wake(id, now));
         }
-        self.readjust_groups();
+        if readjust {
+            self.readjust_groups();
+        }
     }
 
     fn pick_next(&mut self, cpu: CpuId, now: Time) -> Option<TaskId> {
-        if self.buckets.is_empty() {
-            return None;
-        }
-        self.sync_v();
         // Level 1: minimum-surplus group with a ready member. Groups
         // already saturating the machine with running members are
         // skipped, not dequeued — they stay queued (and accumulating
         // surplus) until their last runnable member leaves.
         let groups = &self.groups;
-        let (best, scanned) = self
+        let gid = self
             .buckets
-            .min_surplus(self.v, |gid| groups[gid.0 as usize].ready() > 0);
-        self.stats.bucket_scans += scanned;
-        let (_, _, gid) = best?;
+            .pick(&mut self.stats, |gid| groups[gid.0 as usize].ready() > 0)?;
         let gi = gid.0 as usize;
         // Level 2: the group's own policy picks the member.
         let picked = self.groups[gi].sched.pick_next(cpu, now)?;
@@ -479,7 +421,9 @@ impl Scheduler for HierSfs {
             self.buckets.update_start(gid, f);
             // A blocked or exited member may have shrunk the group's
             // usable capacity.
-            self.maybe_readjust(gi);
+            if self.capacity_moved(gi) {
+                self.readjust_groups();
+            }
         } else {
             self.dequeue_group(gi);
         }
@@ -513,7 +457,7 @@ impl Scheduler for HierSfs {
     }
 
     fn virtual_time(&self) -> Option<Fixed> {
-        Some(self.current_v())
+        Some(self.buckets.virtual_time())
     }
 
     fn check_invariants(&self) {

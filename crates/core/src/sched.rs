@@ -178,9 +178,10 @@ pub trait Scheduler: Send {
     /// Introduces a whole batch of runnable tasks at once. Equivalent
     /// to one [`Scheduler::attach_tenant`] call per entry (the
     /// default); policies whose attach path does work global to the
-    /// runnable set — e.g. the hierarchical §2.1 readjustment walk —
-    /// override this to run that work once per batch instead of once
-    /// per task.
+    /// runnable set — the §2.1 readjustment of flat SFS, the
+    /// hierarchical group walk — override this to run that work once
+    /// per batch instead of once per task, and route their singular
+    /// attaches through it as one-element batches.
     fn attach_batch(&mut self, batch: &[(TaskId, Weight, Option<TenantId>)], now: Time) {
         for &(id, w, tenant) in batch {
             self.attach_tenant(id, w, tenant, now);
@@ -199,7 +200,9 @@ pub trait Scheduler: Send {
     /// Equivalent to one [`Scheduler::wake`] call per entry (the
     /// default); policies whose wake path does per-event work global to
     /// the runnable set — weight readjustment, group re-enqueue —
-    /// override this to run that work once per batch.
+    /// override this to run that work once per batch, and route their
+    /// singular wakes through it as one-element batches (SFS and
+    /// hierarchical SFS do both).
     fn wake_batch(&mut self, ids: &[TaskId], now: Time) {
         for &id in ids {
             self.wake(id, now);

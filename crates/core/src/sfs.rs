@@ -51,7 +51,11 @@
 //! resort-based implementation — a differential test drives both in
 //! lockstep — only the per-decision cost changes
 //! (O(#weight-classes + p) instead of O(n)). The fixed-point tags are
-//! retained.
+//! retained. The virtual time and the §2.3 rules that read it — entry
+//! at `S = max(F, v)`, the freeze at the last finish tag, the
+//! minimum-surplus pick — live in the bucket queue as well, the one
+//! surplus core that [`HierSfs`](crate::hier::HierSfs) applies to tenant
+//! groups.
 //!
 //! **Deviation:** the bounded-lookahead heuristic of §3.2 is not
 //! implemented. It exists to avoid the O(n) re-sort above; the exact
@@ -65,15 +69,20 @@
 //!
 //! The kernel reaches a thread's tags through its task struct; here an
 //! event names a [`TaskId`] and the scheduler resolves it in a
-//! [`TaskMap`] — two indexed loads, no hashing. Each event entry point
-//! resolves the id **once** and works through that one `&mut` entry:
-//! `wake` and a `put_prev` requeue touch the task table once and the
-//! bucket index once (the tag-ordered set costs its O(log n) on top);
-//! `attach` checks the slot and fills it; `detach`, and a `put_prev`
-//! that blocks or exits, add the removal. A readjustment that moves
-//! `φ` costs one more lookup per migrated task — at most `p − 1` of
-//! them. The pick's readiness test reads one entry per queue head
-//! examined.
+//! [`TaskMap`] — two indexed loads, no hashing. A `put_prev` requeue
+//! resolves the id **once** and works through that one `&mut` entry: it
+//! touches the task table once and the bucket index once (the
+//! tag-ordered set costs its O(log n) on top); `detach`, and a
+//! `put_prev` that blocks or exits, add the removal. `attach` checks the
+//! slot and fills it. `wake` probes the task table twice: once to mark
+//! the task ready before the readjustment and once to link it at its
+//! final `φ` after it. A readjustment that moves `φ` costs one more
+//! lookup per migrated task — at most `p − 1` of them. The pick's
+//! readiness test reads one entry per queue head examined.
+//!
+//! Every attach and every wake, of one task or of a batch, takes one
+//! path: [`Sfs::attach_batch`] and [`Sfs::wake_batch`], with one
+//! readjustment per call.
 
 use std::sync::Arc;
 
@@ -136,9 +145,10 @@ fn eff_phi(
     }
 }
 
-/// Inserts a (now runnable) task into its weight-class bucket, recording
-/// its instantaneous weight. Takes the task and the fields it touches,
-/// not `&mut Sfs` and an id, for the same reason as [`eff_phi`].
+/// Queues a (now runnable) task in its weight-class bucket at
+/// `S = max(F, v)`, recording its instantaneous weight and start tag.
+/// Takes the task and the fields it touches, not `&mut Sfs` and an id,
+/// for the same reason as [`eff_phi`].
 fn link_runnable(
     feas: &FeasibleWeights,
     gsnap: &Option<Arc<PhiSnapshot>>,
@@ -146,7 +156,7 @@ fn link_runnable(
     task: &mut TagTask,
 ) {
     task.phi = eff_phi(feas, gsnap, task.id, task.weight);
-    buckets.insert(task.id, task.phi, task.start_tag);
+    task.start_tag = buckets.enter(task.id, task.phi, task.finish_tag);
 }
 
 #[derive(Debug)]
@@ -166,12 +176,10 @@ pub struct Sfs {
     /// weight-descending queue #1 of §3.1).
     feas: FeasibleWeights,
     /// Surplus order, held as one start-tag-ordered bucket per weight
-    /// class. Replaces *both* the start-tag queue #2 of §3.1 (its head —
-    /// the virtual time — is the minimum over bucket heads) and the
-    /// resort-based surplus queue #3.
+    /// class, and the virtual time. Replaces *both* the start-tag queue
+    /// #2 of §3.1 (its head — the virtual time — is the minimum over
+    /// bucket heads) and the resort-based surplus queue #3.
     buckets: BucketQueue,
-    /// Virtual time base used when computing surpluses.
-    v: Fixed,
     /// The wake-preemption margin as a [`Fixed`], precomputed once at
     /// construction.
     preempt_margin_fx: Fixed,
@@ -206,22 +214,11 @@ impl Sfs {
             tasks: TaskMap::new(),
             feas: FeasibleWeights::new(cpus, true),
             buckets: BucketQueue::new(),
-            v: Fixed::ZERO,
             preempt_margin_fx,
             gcell,
             gsnap,
             stats: SchedStats::default(),
         }
-    }
-
-    /// The virtual time right now: minimum start tag over runnable
-    /// threads, or the stored value (last finish tag) when idle (§2.3).
-    fn current_v(&self) -> Fixed {
-        self.buckets.min_start().unwrap_or(self.v)
-    }
-
-    fn surplus(&self, phi: Fixed, start_tag: Fixed) -> Fixed {
-        phi.mul_fixed(start_tag - self.v)
     }
 
     /// Pulls a newer globally published feasibility snapshot, if one
@@ -237,20 +234,11 @@ impl Sfs {
             return;
         };
         let old = self.gsnap.replace(new);
+        let new = self.gsnap.as_ref().expect("just stored");
         // Tasks in either epoch's clamp set may have a changed
         // effective φ; ids belonging to other shards are skipped.
-        let mut affected: Vec<TaskId> = Vec::new();
-        if let Some(old) = &old {
-            affected.extend(old.clamped.iter().copied());
-        }
-        affected.extend(
-            self.gsnap
-                .as_ref()
-                .expect("just stored")
-                .clamped
-                .iter()
-                .copied(),
-        );
+        let clamp_sets = old.iter().chain([new]).map(|s| &s.clamped);
+        let mut affected: Vec<TaskId> = clamp_sets.flatten().copied().collect();
         affected.sort_unstable();
         affected.dedup();
         for id in affected {
@@ -277,19 +265,6 @@ impl Sfs {
         }
     }
 
-    /// Advances the stored virtual time to the current queue minimum.
-    /// Within a weight class, surplus order is invariant under `v`, so —
-    /// unlike the resort-based implementation — advancing `v` requires
-    /// *no* queue maintenance at all.
-    fn sync_v(&mut self) {
-        let vk = self.current_v();
-        if vk != self.v {
-            debug_assert!(vk > self.v, "virtual time went backwards");
-            self.v = vk;
-            self.stats.vt_changes += 1;
-        }
-    }
-
     /// Migrates the tasks whose `φ` the last readjustment changed to
     /// their new weight-class buckets. Readjustment clamps at most
     /// `p − 1` threads, so this touches O(p) tasks — never the whole
@@ -311,33 +286,21 @@ impl Sfs {
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let Sfs { buckets, tasks, .. } = self;
-        buckets.check_invariants(|id| tasks[&id].task.start_tag);
-        let runnable = self
-            .tasks
-            .values()
-            .filter(|e| e.task.state.is_runnable())
-            .count();
-        assert_eq!(runnable, self.buckets.len(), "buckets track runnable");
-        assert_eq!(runnable, self.feas.len(), "weight_q tracks runnable");
-        // Every runnable thread's start tag is at least the virtual time,
-        // hence all fresh surpluses are non-negative (§2.3); and its
-        // bucket and recorded φ always match the readjusted weight.
-        let v = self.current_v();
-        for (id, e) in self.tasks.iter() {
+        // Every queued thread is runnable and sits at its own start tag
+        // and recorded φ, no lower than the virtual time (§2.3)...
+        buckets.check_invariants(|id| {
+            let task = &tasks[&id].task;
+            assert!(task.state.is_runnable(), "blocked task {id} queued");
+            (task.start_tag, task.phi)
+        });
+        let runnable = tasks.values().filter(|e| e.task.state.is_runnable());
+        assert_eq!(runnable.count(), buckets.len(), "buckets track runnable");
+        assert_eq!(buckets.len(), self.feas.len(), "weight_q tracks runnable");
+        // ...and that φ is always the readjusted weight.
+        for (id, e) in tasks.iter() {
             if e.task.state.is_runnable() {
-                assert!(
-                    e.task.start_tag >= v,
-                    "start tag below virtual time: {:?} < {:?}",
-                    e.task.start_tag,
-                    v
-                );
                 let phi = eff_phi(&self.feas, &self.gsnap, id, e.task.weight);
                 assert_eq!(e.task.phi, phi, "stale φ recorded for {id}");
-                assert_eq!(
-                    self.buckets.phi_of(id),
-                    Some(phi),
-                    "task {id} in wrong weight-class bucket"
-                );
             }
         }
     }
@@ -352,63 +315,37 @@ impl Scheduler for Sfs {
         self.cpus
     }
 
-    fn attach(&mut self, id: TaskId, w: Weight, _now: Time) {
-        assert!(!self.tasks.contains_key(&id), "task {id} attached twice");
-        self.refresh_snapshot();
-        self.stats.events += 1;
-        // "When a new thread arrives, its start tag is initialized as
-        // S_i = v" (§2.3).
-        let mut task = TagTask::new(id, w, self.current_v());
-        self.feas.insert(id, w);
-        link_runnable(&self.feas, &self.gsnap, &mut self.buckets, &mut task);
-        self.tasks.insert(
-            id,
-            Entry {
-                task,
-                last_cpu: None,
-            },
-        );
-        self.apply_phi_changes();
+    fn attach(&mut self, id: TaskId, w: Weight, now: Time) {
+        self.attach_batch(&[(id, w, None)], now);
     }
 
-    /// One readjustment for the whole batch. Event-equivalent to
-    /// per-item [`Sfs::attach`]: every arrival takes `S_i = v` and
-    /// inserting at the queue-minimum start tag leaves `v` itself
-    /// unchanged, so all tags match the sequential ones; the final
-    /// clamp set is a pure function of the resulting weight classes;
-    /// and [`FeasibleWeights::insert_many`] reports `φ` changes against
-    /// the pre-batch clamp state, so `apply_phi_changes` converges
-    /// every previously-runnable task to the same `φ` the sequential
-    /// path would leave it with.
-    fn attach_batch(&mut self, batch: &[(TaskId, Weight, Option<TenantId>)], now: Time) {
-        if batch.len() <= 1 {
-            for &(id, w, tenant) in batch {
-                self.attach_tenant(id, w, tenant, now);
-            }
-            return;
-        }
+    /// Every attach, of one task or many: the whole batch enters the
+    /// weight classes first and one readjustment follows, so each new
+    /// task is linked at its final `φ`, and `apply_phi_changes` then only
+    /// migrates previously-runnable tasks whose clamp state moved.
+    /// Event-equivalent to one attach per task: every arrival takes
+    /// `S_i = v` and inserting at the queue-minimum start tag leaves `v`
+    /// itself unchanged, so all tags match the sequential ones; the
+    /// final clamp set is a pure function of the resulting weight
+    /// classes; and [`FeasibleWeights::insert_many`] reports `φ` changes
+    /// against the pre-batch clamp state, so every previously-runnable
+    /// task converges to the `φ` the sequential path would leave it with.
+    fn attach_batch(&mut self, batch: &[(TaskId, Weight, Option<TenantId>)], _now: Time) {
         self.refresh_snapshot();
         self.stats.events += batch.len() as u64;
-        let v = self.current_v();
-        let mut weights = Vec::with_capacity(batch.len());
+        let tasks = &self.tasks;
+        self.feas.insert_many(batch.iter().map(|&(id, w, _)| {
+            assert!(!tasks.contains_key(&id), "task {id} attached twice");
+            (id, w)
+        }));
         for &(id, w, _) in batch {
-            assert!(!self.tasks.contains_key(&id), "task {id} attached twice");
-            weights.push((id, w));
-        }
-        self.feas.insert_many(&weights);
-        // Link after the readjustment so each new task's recorded φ is
-        // already final; `apply_phi_changes` then only migrates
-        // previously-runnable tasks whose clamp state moved.
-        for &(id, w) in &weights {
-            let mut task = TagTask::new(id, w, v);
+            // "When a new thread arrives, its start tag is initialized
+            // as S_i = v" (§2.3): it enters with no finish tag of its own.
+            let mut task = TagTask::new(id, w, Fixed::ZERO);
             link_runnable(&self.feas, &self.gsnap, &mut self.buckets, &mut task);
-            self.tasks.insert(
-                id,
-                Entry {
-                    task,
-                    last_cpu: None,
-                },
-            );
+            task.finish_tag = task.start_tag;
+            let last_cpu = None;
+            self.tasks.insert(id, Entry { task, last_cpu });
         }
         self.apply_phi_changes();
     }
@@ -416,18 +353,17 @@ impl Scheduler for Sfs {
     fn detach(&mut self, id: TaskId, _now: Time) {
         self.refresh_snapshot();
         self.stats.events += 1;
-        let task = &self.tasks[&id].task;
-        let (state, w) = (task.state, task.weight);
+        let Entry { task, .. } = self.tasks.remove(&id).expect("detach of unknown task");
         assert!(
-            !state.is_running(),
+            !task.state.is_running(),
             "detach of running task {id}; use put_prev(Exited)"
         );
-        if state.is_runnable() {
+        // Unlike a block or exit, a detach leaves `v` where it is.
+        if task.state.is_runnable() {
             self.buckets.remove(id);
-            self.feas.remove(id, w);
+            self.feas.remove(id, task.weight);
             self.apply_phi_changes();
         }
-        self.tasks.remove(&id);
     }
 
     fn set_weight(&mut self, id: TaskId, w: Weight, _now: Time) {
@@ -439,21 +375,18 @@ impl Scheduler for Sfs {
         self.stats.events += 1;
         let task = &mut self.tasks.get_mut(&id).expect("just read").task;
         task.weight = w;
-        if task.state.is_runnable() {
-            self.feas.set_weight(id, old, w);
-            task.phi = eff_phi(&self.feas, &self.gsnap, id, w);
-            if self.buckets.set_phi(id, task.phi) {
-                self.stats.bucket_migrations += 1;
-            }
-            self.apply_phi_changes();
-        } else {
+        if !task.state.is_runnable() {
             // A blocked task is outside the runnable set, so no clamp
             // applies: its instantaneous weight is its raw weight. The
             // resort-based implementation left the pre-reweight φ here
             // until the task next ran, so `adjusted_weight_of` lied
             // about blocked tasks after a `set_weight`.
             task.phi = w.as_fixed();
+            return;
         }
+        self.feas.set_weight(id, old, w);
+        self.refresh_phi(id);
+        self.apply_phi_changes();
     }
 
     fn weight_of(&self, id: TaskId) -> Option<Weight> {
@@ -467,75 +400,51 @@ impl Scheduler for Sfs {
         self.tasks.get(&id).map(|e| e.task.phi)
     }
 
-    fn wake(&mut self, id: TaskId, _now: Time) {
-        self.refresh_snapshot();
-        self.stats.events += 1;
-        let v_now = self.current_v();
-        let task = &mut self.tasks.get_mut(&id).expect("waking unknown task").task;
-        assert!(
-            matches!(task.state, TaskState::Blocked),
-            "waking non-blocked task {id}"
-        );
-        // "S_i = max(F_i, v) if the thread just woke up" (§2.3):
-        // sleeping must not accumulate credit.
-        task.start_tag = task.finish_tag.max(v_now);
-        task.state = TaskState::Ready;
-        self.feas.insert(id, task.weight);
-        link_runnable(&self.feas, &self.gsnap, &mut self.buckets, task);
-        self.apply_phi_changes();
+    fn wake(&mut self, id: TaskId, now: Time) {
+        self.wake_batch(&[id], now);
     }
 
-    /// One readjustment for the whole batch. Event-equivalent to
-    /// per-item [`Sfs::wake`]: each wake reads the virtual time at its
-    /// own position in the slice (`current_v()` is O(1)), so the
+    /// Every wake, of one task or many, in the shape of
+    /// [`Sfs::attach_batch`]: the batch enters the weight classes, one
+    /// readjustment runs, and each task is then linked at its final `φ`.
+    /// Event-equivalent to one wake per task: each link reads the
+    /// virtual time at its own position in the slice, so the
     /// `S_i = max(F_i, v)` tags are bit-identical to sequential
     /// application — earlier wakes in the batch can only move `v` by
-    /// filling an empty queue, which the per-item read observes. Tasks
-    /// are linked with their pre-batch `φ` and converged by one
-    /// `apply_phi_changes` after the single readjustment, which leaves
-    /// the same final `φ` state as per-item wakes (see
-    /// [`Sfs::attach_batch`]).
-    fn wake_batch(&mut self, ids: &[TaskId], now: Time) {
-        if ids.len() <= 1 {
-            for &id in ids {
-                self.wake(id, now);
-            }
-            return;
-        }
+    /// filling an empty queue, which the per-item read observes — and
+    /// the readjustment leaves the same final `φ` state.
+    fn wake_batch(&mut self, ids: &[TaskId], _now: Time) {
         self.refresh_snapshot();
         self.stats.events += ids.len() as u64;
-        let mut weights = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let v_now = self.current_v();
-            let task = &mut self.tasks.get_mut(&id).expect("waking unknown task").task;
+        // Each task is marked ready as it enters the weight classes.
+        let tasks = &mut self.tasks;
+        self.feas.insert_many(ids.iter().map(|&id| {
+            let task = &mut tasks.get_mut(&id).expect("waking unknown task").task;
             assert!(
                 matches!(task.state, TaskState::Blocked),
                 "waking non-blocked task {id}"
             );
-            task.start_tag = task.finish_tag.max(v_now);
             task.state = TaskState::Ready;
+            (id, task.weight)
+        }));
+        for &id in ids {
+            // "S_i = max(F_i, v) if the thread just woke up" (§2.3):
+            // sleeping must not accumulate credit.
+            let task = &mut self.tasks.get_mut(&id).expect("woken above").task;
             link_runnable(&self.feas, &self.gsnap, &mut self.buckets, task);
-            weights.push((id, task.weight));
         }
-        self.feas.insert_many(&weights);
         self.apply_phi_changes();
     }
 
     fn pick_next(&mut self, cpu: CpuId, _now: Time) -> Option<TaskId> {
         self.refresh_snapshot();
-        if self.buckets.is_empty() {
-            return None;
-        }
-        self.sync_v();
-
         // The exact pick: least surplus among ready threads, ties broken
         // by (surplus, start tag, id), after examining
         // O(#weight-classes + #running) queue entries, not O(n).
-        let (best, scanned) = self.buckets.min_surplus(self.v, |id| {
-            matches!(self.tasks[&id].task.state, TaskState::Ready)
-        });
-        self.stats.bucket_scans += scanned;
-        let (_, _, picked) = best?;
+        let tasks = &self.tasks;
+        let picked = self.buckets.pick(&mut self.stats, |id| {
+            matches!(tasks[&id].task.state, TaskState::Ready)
+        })?;
 
         let e = self.tasks.get_mut(&picked).expect("picked a queued task");
         if matches!(e.last_cpu, Some(prev) if prev != cpu) {
@@ -567,7 +476,6 @@ impl Scheduler for Sfs {
         // F_i = S_i + q / φ_i (Eq. 5), with the *actual* usage q.
         let finish_tag = task.start_tag + phi.div_into_int(ran.as_nanos());
         task.finish_tag = finish_tag;
-        task.service += ran;
 
         match reason {
             SwitchReason::Preempted | SwitchReason::Yielded => {
@@ -584,14 +492,11 @@ impl Scheduler for Sfs {
                 } else {
                     self.tasks.remove(&id);
                 }
-                self.buckets.remove(id);
+                // If no thread is left runnable, v freezes at the finish
+                // tag of the thread that ran last (§2.3).
+                self.buckets.leave(id, finish_tag);
                 self.feas.remove(id, w);
                 self.apply_phi_changes();
-                if self.buckets.is_empty() {
-                    // All processors idle: v freezes at the finish tag of
-                    // the thread that ran last (§2.3).
-                    self.v = finish_tag;
-                }
             }
         }
     }
@@ -613,15 +518,16 @@ impl Scheduler for Sfs {
         if !matches!(we.task.state, TaskState::Ready) || !re.task.state.is_running() {
             return false;
         }
-        let woken_alpha = self.surplus(we.task.phi, we.task.start_tag);
+        let woken_alpha = self.buckets.surplus(we.task.phi, we.task.start_tag);
         // Charge the running thread its in-flight CPU time:
         // φ · (S + q/φ − v) = φ·(S − v) + q.
-        let running_alpha = self.surplus(re.task.phi, re.task.start_tag) + duration_fx(ran_so_far);
+        let running_alpha =
+            self.buckets.surplus(re.task.phi, re.task.start_tag) + duration_fx(ran_so_far);
         woken_alpha + self.preempt_margin_fx < running_alpha
     }
 
     fn steal_candidate(&self) -> Option<TaskId> {
-        let v = self.current_v();
+        let v = self.buckets.virtual_time();
         self.buckets
             .max_surplus(v, |id| {
                 matches!(self.tasks[&id].task.state, TaskState::Ready)
@@ -634,7 +540,7 @@ impl Scheduler for Sfs {
         if !e.task.state.is_runnable() {
             return None;
         }
-        Some(self.surplus(e.task.phi, e.task.start_tag) + duration_fx(ran_so_far))
+        Some(self.buckets.surplus(e.task.phi, e.task.start_tag) + duration_fx(ran_so_far))
     }
 
     fn nr_runnable(&self) -> usize {
@@ -655,7 +561,7 @@ impl Scheduler for Sfs {
     }
 
     fn virtual_time(&self) -> Option<Fixed> {
-        Some(self.current_v())
+        Some(self.buckets.virtual_time())
     }
 
     fn check_invariants(&self) {

@@ -4,7 +4,6 @@ use core::fmt;
 use core::num::NonZeroU64;
 
 use crate::fixed::Fixed;
-use crate::time::Duration;
 
 /// Identifies a schedulable entity (the paper's "thread").
 ///
@@ -143,8 +142,6 @@ pub struct TagTask {
     pub finish_tag: Fixed,
     /// Current run state.
     pub state: TaskState,
-    /// Total CPU service received so far.
-    pub service: Duration,
 }
 
 impl TagTask {
@@ -157,7 +154,6 @@ impl TagTask {
             start_tag,
             finish_tag: start_tag,
             state: TaskState::Ready,
-            service: Duration::ZERO,
         }
     }
 }
@@ -201,7 +197,6 @@ mod tests {
         assert_eq!(t.finish_tag, Fixed::from_int(9));
         assert_eq!(t.phi, Fixed::from_int(2));
         assert_eq!(t.state, TaskState::Ready);
-        assert_eq!(t.service, Duration::ZERO);
     }
 
     #[test]
